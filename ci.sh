@@ -17,6 +17,12 @@ if cargo tree -p samzasql-kafka -e normal --prefix none --locked --offline | gre
   echo "ci.sh: samzasql-kafka depends on samzasql-coord" >&2
   exit 1
 fi
+# One metrics mechanism: every instrument is minted from the broker's
+# registry when its owner is built, so no code copies handles in later.
+if grep -rnE 'adopt_(counter|gauge|histogram)|register_into|bind_obs|bind_metrics|set_metrics_registry' crates src tests examples; then
+  echo "ci.sh: metric handles copied into a registry after construction" >&2
+  exit 1
+fi
 # The benchmark package (perfbench/) lives outside the workspace but builds
 # against its crates: a workspace API change that breaks it fails here, not
 # in the perf gate. It has no lockfile of its own, so it runs without

@@ -3,7 +3,8 @@
 //! The router records, while it is built, how its operator nodes and scan
 //! entries map onto the physical plan's pre-order ([`PlanBinding`]); when
 //! profiling is enabled each `process_batch` call is timed and counted into
-//! obs instruments, which tasks publish into the metrics registry.
+//! obs instruments, which a task mints in the metrics registry
+//! (`MessageRouter::register_profile`).
 //! [`registry_totals`] reads those series back, summed across a job's
 //! tasks, and [`render_explain_analyze`] replays the plan's
 //! `explain_lines()` and annotates every line with rows-in/rows-out, batch
@@ -41,12 +42,37 @@ pub struct NodeProfile {
     pub busy_ns: Counter,
 }
 
+impl NodeProfile {
+    /// Get or create the `core.operator.*` series with the given labels.
+    pub fn new(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
+        let counter = |name: &str| registry.counter(&format!("core.operator.{name}"), labels);
+        NodeProfile {
+            rows_in: counter("rows_in"),
+            rows_out: counter("rows_out"),
+            batches: counter("batches"),
+            busy_ns: counter("busy_ns"),
+        }
+    }
+}
+
 /// Live instruments for one scan entry.
 #[derive(Debug, Clone, Default)]
 pub struct EntryProfile {
     pub rows: Counter,
     pub bytes: Counter,
     pub tombstones: Counter,
+}
+
+impl EntryProfile {
+    /// Get or create the `core.scan.*` series with the given labels.
+    pub fn new(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
+        let counter = |name: &str| registry.counter(&format!("core.scan.{name}"), labels);
+        EntryProfile {
+            rows: counter("rows"),
+            bytes: counter("bytes"),
+            tombstones: counter("tombstones"),
+        }
+    }
 }
 
 /// Profiler attached to a router by `MessageRouter::enable_profiling`.

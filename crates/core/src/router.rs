@@ -20,7 +20,9 @@ use crate::ops::sort::SortOp;
 use crate::ops::window_agg::WindowAggOp;
 use crate::ops::window_sliding::SlidingWindowOp;
 use crate::ops::{OpCtx, Operator, Side};
-use crate::profile::{EntryStats, NodeStats, PlanBinding, RouterProfile, RouterProfiler};
+use crate::profile::{
+    EntryProfile, EntryStats, NodeProfile, NodeStats, PlanBinding, RouterProfile, RouterProfiler,
+};
 use crate::tuple::Tuple;
 use crate::udaf::UdafRegistry;
 use samzasql_kafka::Bytes;
@@ -211,31 +213,25 @@ impl MessageRouter {
         ));
     }
 
-    /// Publish the profiler's instruments into a metrics registry: node
-    /// series under `core.operator.*` labeled `op=<name>#<node index>`
-    /// (the names [`profile`](Self::profile) reports), entry series under
-    /// `core.scan.*` labeled `topic=<topic>`, all carrying the `base`
-    /// labels (conventionally `job`/`task`). No-op until
-    /// [`enable_profiling`](Self::enable_profiling) has run.
+    /// Mint the profiler's instruments in a metrics registry, replacing
+    /// its unregistered ones: node series under `core.operator.*` labeled
+    /// `op=<name>#<node index>` (the names [`profile`](Self::profile)
+    /// reports), entry series under `core.scan.*` labeled `topic=<topic>`,
+    /// all carrying the `base` labels (conventionally `job`/`task`). No-op
+    /// until [`enable_profiling`](Self::enable_profiling) has run.
     pub fn register_profile(
-        &self,
+        &mut self,
         registry: &samzasql_obs::MetricsRegistry,
         base: &[(&str, &str)],
     ) {
-        let Some(p) = &self.profiler else { return };
-        for (i, (node, live)) in self.nodes.iter().zip(&p.nodes).enumerate() {
+        let Some(p) = &mut self.profiler else { return };
+        for (i, (node, live)) in self.nodes.iter().zip(&mut p.nodes).enumerate() {
             let op = format!("{}#{}", node.name(), i);
-            let labels = [base, &[("op", op.as_str())]].concat();
-            registry.adopt_counter("core.operator.rows_in", &labels, &live.rows_in);
-            registry.adopt_counter("core.operator.rows_out", &labels, &live.rows_out);
-            registry.adopt_counter("core.operator.batches", &labels, &live.batches);
-            registry.adopt_counter("core.operator.busy_ns", &labels, &live.busy_ns);
+            *live = NodeProfile::new(registry, &[base, &[("op", op.as_str())]].concat());
         }
-        for (entry, live) in self.entries.iter().zip(&p.entries) {
+        for (entry, live) in self.entries.iter().zip(&mut p.entries) {
             let labels = [base, &[("topic", entry.topic.as_str())]].concat();
-            registry.adopt_counter("core.scan.rows", &labels, &live.rows);
-            registry.adopt_counter("core.scan.bytes", &labels, &live.bytes);
-            registry.adopt_counter("core.scan.tombstones", &labels, &live.tombstones);
+            *live = EntryProfile::new(registry, &labels);
         }
     }
 

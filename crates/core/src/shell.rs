@@ -26,7 +26,7 @@ use crate::task::{SamzaSqlTaskFactory, TaskPlanSource};
 use crate::udaf::{UdafRegistry, UserAggregate};
 use samzasql_coord::Coord;
 use samzasql_kafka::{Broker, Bytes, Message, TopicConfig};
-use samzasql_obs::Obs;
+use samzasql_obs::{MetricsRegistry, MonotonicTime, TimeSource};
 use samzasql_planner::{Catalog, PhysicalPlan, PlannedQuery, Planner};
 use samzasql_samza::{
     ClusterSim, InputStreamConfig, JobConfig, JobHandle, OutputStreamConfig, StoreConfig,
@@ -57,9 +57,8 @@ pub struct SamzaSqlShell {
     /// submitted/executed jobs into the shell's metrics registry. Off by
     /// default; `EXPLAIN ANALYZE` profiles regardless.
     pub profile_operators: bool,
-    /// Unified observability: metrics registry and the clock profiling
-    /// measures against. Broker and cluster metrics publish here.
-    obs: Obs,
+    /// The clock operator profiling measures busy time against.
+    clock: Arc<dyn TimeSource>,
 }
 
 impl SamzaSqlShell {
@@ -69,19 +68,15 @@ impl SamzaSqlShell {
         Self::with_cluster(broker, cluster)
     }
 
-    /// Shell over an explicit cluster simulation. Query metadata lives in
-    /// the cluster's coordination service, so tasks (and anyone else holding
-    /// the `Coord`) read exactly what the shell wrote.
+    /// Shell over an explicit cluster simulation, which must run over
+    /// `broker` (its containers publish into that broker's registry). Query
+    /// metadata lives in the cluster's coordination service, so tasks (and
+    /// anyone else holding the `Coord`) read exactly what the shell wrote.
     pub fn with_cluster(broker: Broker, cluster: ClusterSim) -> Self {
         // Deny-by-default static analysis: plans with Error-severity
         // diagnostics never reach job submission.
         let mut planner = Planner::new(Catalog::new());
         planner.add_check(Arc::new(samzasql_analyze::GatingAnalyzer));
-        let obs = Obs::new();
-        // One registry for the whole stack: broker-side counters and every
-        // container the cluster launches (including respawns) publish here.
-        broker.bind_metrics(&obs.registry);
-        cluster.set_metrics_registry(obs.registry.clone());
         SamzaSqlShell {
             broker,
             coord: cluster.coord().clone(),
@@ -92,7 +87,7 @@ impl SamzaSqlShell {
             default_containers: samzasql_samza::worker_count(usize::MAX) as u32,
             direct_data_api: false,
             profile_operators: false,
-            obs,
+            clock: Arc::new(MonotonicTime::new()),
         }
     }
 
@@ -112,15 +107,10 @@ impl SamzaSqlShell {
         &self.planner
     }
 
-    /// The shell's observability bundle (registry + clock).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// The metrics registry broker, container, and operator series publish
-    /// into.
-    pub fn metrics_registry(&self) -> &samzasql_obs::MetricsRegistry {
-        &self.obs.registry
+    /// The broker's metrics registry, which broker, container, task, store
+    /// and operator series publish into.
+    pub fn metrics_registry(&self) -> &MetricsRegistry {
+        self.broker.metrics_registry()
     }
 
     // ------------------------------------------------------------- catalog
@@ -218,9 +208,9 @@ impl SamzaSqlShell {
             strip_keyword(trimmed, "metrics").unwrap_or(trimmed)
         };
         let snap = if prefix.is_empty() {
-            self.obs.registry.snapshot()
+            self.metrics_registry().snapshot()
         } else {
-            self.obs.registry.snapshot_prefix(prefix)
+            self.metrics_registry().snapshot_prefix(prefix)
         };
         if snap.entries.is_empty() {
             return format!("no metrics{}", {
@@ -266,11 +256,11 @@ impl SamzaSqlShell {
             // stage's spec and never run: node names are deterministic, so
             // they match the `op` labels the tasks published.
             let mut router = MessageRouter::build_spec(&stage.spec, &self.udafs)?;
-            router.enable_profiling(self.obs.clock.clone());
+            router.enable_profiling(self.clock.clone());
             let profile = router
                 .profile()
                 .expect("profiling enabled above")
-                .with_registry_totals(&self.obs.registry, &stage.job);
+                .with_registry_totals(self.metrics_registry(), &stage.job);
             if stages.len() > 1 {
                 let role = ["producer", "consumer"][i];
                 out.push_str(&format!("-- stage{} (repartition {role}) --\n", i + 1));
@@ -381,7 +371,7 @@ impl SamzaSqlShell {
             coord: self.coord.clone(),
             source: stage.source.clone(),
             udafs: udafs.clone(),
-            profiling: profile.then(|| self.obs.clone()),
+            profiling: profile.then(|| self.clock.clone()),
         }
     }
 
@@ -510,7 +500,7 @@ impl SamzaSqlShell {
             // The container layout is decided by run_bounded.
             let cfg = self.job_config(&stage.job, &stage.spec, &stage.output, 1);
             let factory = self.task_factory(stage, &udafs, profile);
-            samzasql_samza::run_bounded(&self.broker, cfg, &factory, &self.obs.registry)?;
+            samzasql_samza::run_bounded(&self.broker, cfg, &factory)?;
         }
         Ok(())
     }

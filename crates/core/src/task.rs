@@ -13,7 +13,7 @@ use crate::ops::STATE_STORE;
 use crate::router::{MessageRouter, QuerySpec};
 use crate::udaf::UdafRegistry;
 use samzasql_coord::Coord;
-use samzasql_obs::Obs;
+use samzasql_obs::TimeSource;
 use samzasql_planner::Planner;
 use samzasql_samza::{
     IncomingMessageEnvelope, MessageCollector, OutgoingMessageEnvelope, Result as SamzaResult,
@@ -45,12 +45,9 @@ pub struct SamzaSqlTask {
     /// Reusable staging buffer for encoded outputs (capacity persists
     /// across batches).
     out_buf: Vec<crate::ops::insert::EncodedOutput>,
-    /// Per-operator profiling: the registry the operator instruments
-    /// publish into and the clock busy time is measured against (None =
-    /// profiling off, zero overhead).
-    profiling: Option<Obs>,
-    /// Partition this task instance serves (labels its metrics).
-    partition: u32,
+    /// Per-operator profiling: the clock busy time is measured against
+    /// (None = profiling off, zero overhead).
+    profiling: Option<Arc<dyn TimeSource>>,
 }
 
 impl SamzaSqlTask {
@@ -71,14 +68,13 @@ impl SamzaSqlTask {
             bounded: false,
             out_buf: Vec::new(),
             profiling: None,
-            partition: 0,
         }
     }
 
-    /// Enable per-operator profiling for this task instance (builder style).
-    pub fn with_profiling(mut self, profiling: Obs, partition: u32) -> Self {
-        self.profiling = Some(profiling);
-        self.partition = partition;
+    /// Enable per-operator profiling for this task instance, timed against
+    /// `clock` (builder style).
+    pub fn with_profiling(mut self, clock: Arc<dyn TimeSource>) -> Self {
+        self.profiling = Some(clock);
         self
     }
 
@@ -94,7 +90,7 @@ impl SamzaSqlTask {
         }
     }
 
-    fn build_router(&mut self) -> CoreResult<()> {
+    fn build_router(&mut self, ctx: &TaskContext) -> CoreResult<()> {
         // The coordination service must carry the query — the shell wrote it
         // in step one. This is the handoff §4.2 describes.
         let sql = self
@@ -122,11 +118,11 @@ impl SamzaSqlTask {
         };
         self.bounded = bounded;
         let mut router = router;
-        if let Some(p) = &self.profiling {
-            router.enable_profiling(p.clock.clone());
-            let task = self.partition.to_string();
+        if let Some(clock) = &self.profiling {
+            router.enable_profiling(clock.clone());
+            let task = ctx.partition.to_string();
             router.register_profile(
-                &p.registry,
+                &ctx.metrics_registry,
                 &[("job", self.job_name.as_str()), ("task", task.as_str())],
             );
         }
@@ -136,8 +132,8 @@ impl SamzaSqlTask {
 }
 
 impl StreamTask for SamzaSqlTask {
-    fn init(&mut self, _ctx: &mut TaskContext) -> SamzaResult<()> {
-        self.build_router().map_err(SamzaError::from)
+    fn init(&mut self, ctx: &mut TaskContext) -> SamzaResult<()> {
+        self.build_router(ctx).map_err(SamzaError::from)
     }
 
     fn process(
@@ -208,12 +204,12 @@ pub struct SamzaSqlTaskFactory {
     pub coord: Coord,
     pub source: TaskPlanSource,
     pub udafs: Arc<UdafRegistry>,
-    /// Per-operator profiling wiring (None = off).
-    pub profiling: Option<Obs>,
+    /// Clock for per-operator profiling (None = off).
+    pub profiling: Option<Arc<dyn TimeSource>>,
 }
 
 impl TaskFactory for SamzaSqlTaskFactory {
-    fn create(&self, partition: u32) -> Box<dyn StreamTask> {
+    fn create(&self, _partition: u32) -> Box<dyn StreamTask> {
         let task = SamzaSqlTask::new(
             self.job_name.clone(),
             self.output_topic.clone(),
@@ -222,7 +218,7 @@ impl TaskFactory for SamzaSqlTaskFactory {
             self.udafs.clone(),
         );
         Box::new(match &self.profiling {
-            Some(p) => task.with_profiling(p.clone(), partition),
+            Some(clock) => task.with_profiling(clock.clone()),
             None => task,
         })
     }

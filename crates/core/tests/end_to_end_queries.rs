@@ -2,9 +2,10 @@
 //! shell → planner → job config → metadata store → task-side re-planning →
 //! message router → operators → output topic.
 
-use samzasql_core::shell::{QueryHandle, SamzaSqlShell};
+use samzasql_core::shell::SamzaSqlShell;
 use samzasql_kafka::{Broker, TopicConfig};
 use samzasql_serde::{Schema, Value};
+use samzasql_testkit::wait_until;
 use std::time::Duration;
 
 fn orders_schema() -> Schema {
@@ -202,20 +203,6 @@ fn streaming_stream_to_relation_join() {
     handle.stop().unwrap();
 }
 
-/// Wait (at most 10 s) until the query's jobs have processed `n` input
-/// messages, relation changelog records included.
-fn await_processed(handle: &QueryHandle, n: u64) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while handle.processed() < n && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(
-        handle.processed() >= n,
-        "{} of {n} processed",
-        handle.processed()
-    );
-}
-
 #[test]
 fn join_reflects_relation_updates_and_deletes() {
     let broker = Broker::new();
@@ -277,15 +264,19 @@ fn join_reflects_relation_updates_and_deletes() {
         )
         .unwrap();
     // The product, order 1, and now the update: wait until the join
-    // operator has applied it.
-    await_processed(&handle, 3);
+    // operator has applied it (relation changelog records included).
+    wait_until("3 processed", Duration::from_secs(10), || {
+        handle.processed() >= 3
+    });
     shell.produce("Orders", order(2, 1, 2, 5)).unwrap();
     let rows = handle.await_outputs(1, Duration::from_secs(10)).unwrap();
     assert_eq!(rows[0].field("supplierId"), Some(&Value::Int(200)));
 
     // Delete the relation row; further orders stop joining.
     shell.delete_relation("Products", &Value::Int(1)).unwrap();
-    await_processed(&handle, 5);
+    wait_until("5 processed", Duration::from_secs(10), || {
+        handle.processed() >= 5
+    });
     shell.produce("Orders", order(3, 1, 3, 5)).unwrap();
     let rows = handle.await_outputs(1, Duration::from_millis(300)).unwrap();
     assert!(

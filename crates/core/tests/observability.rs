@@ -7,10 +7,13 @@
 
 use samzasql_core::ops::STATE_STORE;
 use samzasql_core::shell::SamzaSqlShell;
-use samzasql_kafka::{Broker, FaultInjector, FaultKind, FaultSchedule, FaultSpec};
+use samzasql_kafka::{Broker, FaultInjector, FaultKind, FaultSchedule, FaultSpec, IoThrottle};
+use samzasql_obs::MetricValue;
 use samzasql_serde::Value;
 use samzasql_testkit::Rng;
 use samzasql_workload::{orders_schema, products_schema};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Shell over a fresh broker with the paper's Orders stream and Products
 /// table registered and seeded with deterministic data.
@@ -181,6 +184,76 @@ fn store_series_count_a_bounded_sliding_window() {
     let changelog = format!("samzasql-q1-{STATE_STORE}-changelog");
     assert!(writes > 0);
     assert_eq!(writes, shell.broker().end_offset(&changelog, 0).unwrap());
+}
+
+/// One published series family: (name, kind, sorted label keys).
+type Series = (String, &'static str, Vec<String>);
+
+/// The series `docs/OBSERVABILITY.md`'s catalogue lists: one row per
+/// family, `prefix.{a,b}` names expanded, label keys in backticks.
+fn documented_series() -> BTreeSet<Series> {
+    let doc = include_str!("../../../docs/OBSERVABILITY.md");
+    let catalogue = doc.split("## Series catalogue").nth(1).unwrap();
+    let catalogue = catalogue.split("\n## ").next().unwrap();
+    let mut series = BTreeSet::new();
+    for row in catalogue.lines().filter(|l| l.starts_with("| `")) {
+        let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+        let kind = ["counter", "gauge", "histogram"]
+            .into_iter()
+            .find(|k| *k == cells[2])
+            .unwrap_or_else(|| panic!("unknown kind in {row}"));
+        let mut keys: Vec<String> = cells[3]
+            .split(", ")
+            .filter_map(|l| l.strip_prefix('`')?.strip_suffix('`'))
+            .map(String::from)
+            .collect();
+        keys.sort();
+        let family = cells[1].trim_matches('`');
+        let names: Vec<String> = match family.split_once('{') {
+            Some((prefix, members)) => members
+                .trim_end_matches('}')
+                .split(',')
+                .map(|m| format!("{prefix}{m}"))
+                .collect(),
+            None => vec![family.to_string()],
+        };
+        for name in names {
+            series.insert((name, kind, keys.clone()));
+        }
+    }
+    series
+}
+
+fn published_series(shell: &SamzaSqlShell) -> BTreeSet<Series> {
+    let snap = shell.metrics_registry().snapshot();
+    snap.entries
+        .into_iter()
+        .map(|e| {
+            let kind = match e.value {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+                MetricValue::Histogram(_) => "histogram",
+            };
+            // Labels are sorted, so their keys are too.
+            (e.name, kind, e.labels.into_iter().map(|(k, _)| k).collect())
+        })
+        .collect()
+}
+
+#[test]
+fn the_four_shapes_publish_exactly_the_documented_series() {
+    let broker = Broker::new();
+    // A terabyte of burst credit: the throttle publishes its series and
+    // never stalls.
+    let throttle = IoThrottle::new(broker.metrics_registry(), 1 << 30, 1 << 40);
+    broker.set_throttle(Some(Arc::new(throttle)));
+    let mut shell = seeded_shell(broker, 41, 200);
+    shell.profile_operators = true;
+    for sql in [FILTER, PROJECT, SLIDING_WINDOW, S2R_JOIN] {
+        let rows = shell.query(&bounded(sql)).unwrap();
+        assert!(!rows.is_empty(), "{sql}");
+    }
+    assert_eq!(published_series(&shell), documented_series());
 }
 
 #[test]

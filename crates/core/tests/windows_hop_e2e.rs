@@ -95,8 +95,13 @@ fn hop_alignment_handles_records_before_offset() {
 /// mechanism: sustained traffic exhausts credits and accumulates stall debt.
 #[test]
 fn sustained_kv_traffic_exhausts_burst_credits() {
-    let throttle = Arc::new(IoThrottle::new(1_000_000, 5_000_000)); // 1 MB/s, 5 MB burst
     let broker = Broker::new();
+    // 1 MB/s, 5 MB burst
+    let throttle = Arc::new(IoThrottle::new(
+        broker.metrics_registry(),
+        1_000_000,
+        5_000_000,
+    ));
     broker.set_throttle(Some(throttle.clone()));
     broker
         .create_topic("t", TopicConfig::with_partitions(1))

@@ -4,10 +4,10 @@ use crate::error::{FaultOp, KafkaError, Result};
 use crate::fault::FaultInjector;
 use crate::log::FetchResult;
 use crate::message::{Message, TopicPartition};
-use crate::metrics::BrokerMetrics;
 use crate::replication::{AckMode, ReplicaSet};
 use crate::throttle::IoThrottle;
 use crate::topic::{Topic, TopicConfig};
+use samzasql_obs::{Counter, MetricsRegistry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
@@ -25,10 +25,10 @@ pub struct Broker {
 struct BrokerInner {
     topics: RwLock<HashMap<String, Arc<Topic>>>,
     replicas: Mutex<HashMap<TopicPartition, ReplicaSet>>,
-    metrics: BrokerMetrics,
-    /// Registry the broker publishes into once [`Broker::bind_metrics`] has
-    /// run; later-installed throttles register themselves here too.
-    registry: RwLock<Option<samzasql_obs::MetricsRegistry>>,
+    /// The deployment's one metrics registry (see
+    /// [`Broker::metrics_registry`]).
+    registry: MetricsRegistry,
+    counters: BrokerCounters,
     throttle: RwLock<Option<Arc<IoThrottle>>>,
     /// Seeded fault injector intercepting produce/fetch (off by default).
     injector: RwLock<Option<Arc<FaultInjector>>>,
@@ -38,6 +38,34 @@ struct BrokerInner {
     has_replicated: AtomicBool,
     /// Wakes consumers parked in [`Broker::wait_for_append`].
     appends: AppendSignal,
+}
+
+/// The broker's `kafka.broker.*` traffic and failover counters.
+struct BrokerCounters {
+    messages_in: Counter,
+    bytes_in: Counter,
+    messages_out: Counter,
+    bytes_out: Counter,
+    isr_shrinks: Counter,
+    isr_expands: Counter,
+    leader_epoch_bumps: Counter,
+    faults_injected: Counter,
+}
+
+impl BrokerCounters {
+    fn new(registry: &MetricsRegistry) -> Self {
+        let counter = |name: &str| registry.counter(&format!("kafka.broker.{name}"), &[]);
+        BrokerCounters {
+            messages_in: counter("messages_in"),
+            bytes_in: counter("bytes_in"),
+            messages_out: counter("messages_out"),
+            bytes_out: counter("bytes_out"),
+            isr_shrinks: counter("isr_shrinks"),
+            isr_expands: counter("isr_expands"),
+            leader_epoch_bumps: counter("leader_epoch_bumps"),
+            faults_injected: counter("faults_injected"),
+        }
+    }
 }
 
 /// Append notification for parked consumers: a sequence that every produce
@@ -91,14 +119,15 @@ impl AppendSignal {
 }
 
 impl Broker {
-    /// Create an empty broker.
+    /// Create an empty broker with a fresh metrics registry.
     pub fn new() -> Self {
+        let registry = MetricsRegistry::new();
         Broker {
             inner: Arc::new(BrokerInner {
                 topics: RwLock::new(HashMap::new()),
                 replicas: Mutex::new(HashMap::new()),
-                metrics: BrokerMetrics::default(),
-                registry: RwLock::new(None),
+                counters: BrokerCounters::new(&registry),
+                registry,
                 throttle: RwLock::new(None),
                 injector: RwLock::new(None),
                 has_replicated: AtomicBool::new(false),
@@ -107,26 +136,19 @@ impl Broker {
         }
     }
 
-    /// Publish this broker's traffic counters (and any installed throttle's
-    /// instruments) into a shared metrics registry under `kafka.*`. The
-    /// registry is remembered so throttles installed later register too.
-    pub fn bind_metrics(&self, registry: &samzasql_obs::MetricsRegistry) {
-        self.inner.metrics.register_into(registry, &[]);
-        if let Some(throttle) = self.inner.throttle.read().unwrap().clone() {
-            throttle.register_into(registry, &[]);
-        }
-        *self.inner.registry.write().unwrap() = Some(registry.clone());
+    /// The deployment's metrics registry. The broker's own series live
+    /// here, and everything built over this broker — containers, their
+    /// tasks and stores, throttles, the shell — mints its instruments
+    /// here.
+    pub fn metrics_registry(&self) -> &MetricsRegistry {
+        &self.inner.registry
     }
 
     /// Install an I/O throttle applied to all produce traffic (simulates the
-    /// EC2 burst-credit behaviour; off by default). If the broker is bound
-    /// to a metrics registry, the throttle's instruments are published so
-    /// §5.1-style throttling shows up in snapshots.
+    /// EC2 burst-credit behaviour; off by default). Build it over
+    /// [`metrics_registry`](Self::metrics_registry) so §5.1-style
+    /// throttling shows up in snapshots.
     pub fn set_throttle(&self, throttle: Option<Arc<IoThrottle>>) {
-        if let (Some(t), Some(registry)) = (&throttle, self.inner.registry.read().unwrap().as_ref())
-        {
-            t.register_into(registry, &[]);
-        }
         *self.inner.throttle.write().unwrap() = throttle;
     }
 
@@ -148,7 +170,7 @@ impl Broker {
         let injector = self.inner.injector.read().unwrap().clone();
         if let Some(injector) = injector {
             if let Err(e) = injector.intercept(op, topic, partition) {
-                self.inner.metrics.record_fault_injected();
+                self.inner.counters.faults_injected.inc();
                 return Err(e);
             }
         }
@@ -289,7 +311,8 @@ impl Broker {
             let _ = throttle.charge(bytes, 0.0);
         }
         let offset = log.write().unwrap().append(message);
-        self.inner.metrics.record_produce(1, bytes);
+        self.inner.counters.messages_in.inc();
+        self.inner.counters.bytes_in.add(bytes);
         self.inner.appends.bump();
         Ok(offset)
     }
@@ -331,7 +354,8 @@ impl Broker {
                 offsets.push(log.append(message));
             }
         }
-        self.inner.metrics.record_produce(count, bytes);
+        self.inner.counters.messages_in.add(count);
+        self.inner.counters.bytes_in.add(bytes);
         self.inner.appends.bump();
         Ok(offsets)
     }
@@ -372,9 +396,9 @@ impl Broker {
             .iter()
             .map(|r| r.message.payload_len() as u64)
             .sum();
-        self.inner
-            .metrics
-            .record_fetch(result.records.len() as u64, bytes);
+        let counters = &self.inner.counters;
+        counters.messages_out.add(result.records.len() as u64);
+        counters.bytes_out.add(bytes);
         Ok(result)
     }
 
@@ -425,7 +449,8 @@ impl Broker {
                 }
             }
         }
-        self.inner.metrics.record_isr_delta(shrank, expanded);
+        self.inner.counters.isr_shrinks.add(shrank);
+        self.inner.counters.isr_expands.add(expanded);
         // High watermarks may have moved, making records visible.
         self.inner.appends.bump();
     }
@@ -485,7 +510,7 @@ impl Broker {
         let mut log = log.write().unwrap();
         let committed = rs.fail_leader(log.end_offset(), topic, partition)?;
         log.truncate_to(committed);
-        self.inner.metrics.record_leader_epoch_bump();
+        self.inner.counters.leader_epoch_bumps.inc();
         Ok(rs.leader_epoch())
     }
 
@@ -500,7 +525,7 @@ impl Broker {
                 partition,
             })?;
         if rs.fail_follower(idx, true) {
-            self.inner.metrics.record_isr_delta(1, 0);
+            self.inner.counters.isr_shrinks.inc();
         }
         Ok(())
     }
@@ -535,11 +560,6 @@ impl Broker {
     pub fn high_watermark(&self, topic: &str, partition: u32) -> Result<u64> {
         let end = self.end_offset(topic, partition)?;
         Ok(self.visible_end(topic, partition, end))
-    }
-
-    /// Broker traffic metrics.
-    pub fn metrics(&self) -> &BrokerMetrics {
-        &self.inner.metrics
     }
 }
 
@@ -688,8 +708,14 @@ mod tests {
             AckMode::Leader,
         )
         .unwrap();
-        let (mi, bi, _, _) = b.metrics().snapshot();
-        assert_eq!((mi, bi), (2, 4));
+        assert_eq!(traffic(&b)[..2], [2, 4]);
+    }
+
+    /// `kafka.broker.{messages_in,bytes_in,messages_out,bytes_out}`.
+    fn traffic(b: &Broker) -> [u64; 4] {
+        let snap = b.metrics_registry().snapshot_prefix("kafka.broker.");
+        ["messages_in", "bytes_in", "messages_out", "bytes_out"]
+            .map(|name| snap.counter(&format!("kafka.broker.{name}"), &[]).unwrap())
     }
 
     #[test]
@@ -699,8 +725,7 @@ mod tests {
             .unwrap();
         b.produce("t", 0, Message::new("abcd")).unwrap();
         b.fetch("t", 0, 0, 10).unwrap();
-        let (mi, bi, mo, bo) = b.metrics().snapshot();
-        assert_eq!((mi, bi, mo, bo), (1, 4, 1, 4));
+        assert_eq!(traffic(&b), [1, 4, 1, 4]);
     }
 
     #[test]

@@ -332,7 +332,7 @@ mod tests {
         c.assign("t", 0..1);
         let recs = c.poll(10);
         assert_eq!(recs.len(), 3, "first three fetch attempts retried away");
-        assert!(c.retrier().metrics().retries() >= 3);
+        assert!(c.retrier().metrics().retries.get() >= 3);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 use crate::error::{FaultOp, KafkaError, Result};
 use crate::message::TopicPartition;
 use crate::retry::splitmix64;
+use samzasql_obs::Counter;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// When a fault spec fires, relative to the per-(topic, partition, op)
@@ -120,20 +120,12 @@ impl FaultSpec {
 }
 
 /// Counters describing injector activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultMetricsSnapshot {
-    pub injected_errors: u64,
-    pub unavailable_hits: u64,
-    pub latency_events: u64,
-    pub injected_latency_ms: u64,
-}
-
 #[derive(Debug, Default)]
-struct FaultMetrics {
-    injected_errors: AtomicU64,
-    unavailable_hits: AtomicU64,
-    latency_events: AtomicU64,
-    injected_latency_ms: AtomicU64,
+pub struct FaultMetrics {
+    pub injected_errors: Counter,
+    pub unavailable_hits: Counter,
+    pub latency_events: Counter,
+    pub injected_latency_ms: Counter,
 }
 
 fn fnv1a_str(s: &str) -> u64 {
@@ -155,7 +147,7 @@ pub struct FaultInjector {
     /// Per-(topic-partition, op) operation indices, advanced on every
     /// intercepted call whether or not a fault fires.
     counters: Mutex<HashMap<(TopicPartition, FaultOp), u64>>,
-    metrics: FaultMetrics,
+    pub metrics: FaultMetrics,
     real_sleeps: bool,
 }
 
@@ -209,15 +201,6 @@ impl FaultInjector {
             .unwrap_or(0)
     }
 
-    pub fn metrics(&self) -> FaultMetricsSnapshot {
-        FaultMetricsSnapshot {
-            injected_errors: self.metrics.injected_errors.load(Ordering::Relaxed),
-            unavailable_hits: self.metrics.unavailable_hits.load(Ordering::Relaxed),
-            latency_events: self.metrics.latency_events.load(Ordering::Relaxed),
-            injected_latency_ms: self.metrics.injected_latency_ms.load(Ordering::Relaxed),
-        }
-    }
-
     /// Intercept one operation: advance the per-partition index, evaluate
     /// specs in order, and return the first firing error (latency specs
     /// record and fall through). Called by the broker before touching the
@@ -248,7 +231,7 @@ impl FaultInjector {
             }
             match &spec.kind {
                 FaultKind::TransientError => {
-                    self.metrics.injected_errors.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.injected_errors.inc();
                     return Err(KafkaError::InjectedFault {
                         op,
                         topic: topic.to_string(),
@@ -256,19 +239,15 @@ impl FaultInjector {
                     });
                 }
                 FaultKind::Unavailable => {
-                    self.metrics
-                        .unavailable_hits
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.metrics.unavailable_hits.inc();
                     return Err(KafkaError::PartitionUnavailable {
                         topic: topic.to_string(),
                         partition,
                     });
                 }
                 FaultKind::Latency { ms } => {
-                    self.metrics.latency_events.fetch_add(1, Ordering::Relaxed);
-                    self.metrics
-                        .injected_latency_ms
-                        .fetch_add(*ms, Ordering::Relaxed);
+                    self.metrics.latency_events.inc();
+                    self.metrics.injected_latency_ms.add(*ms);
                     if self.real_sleeps {
                         std::thread::sleep(std::time::Duration::from_millis(*ms));
                     }
@@ -299,7 +278,7 @@ mod tests {
             outcomes,
             vec![false, false, true, false, false, true, false, false, true]
         );
-        assert_eq!(inj.metrics().injected_errors, 3);
+        assert_eq!(inj.metrics.injected_errors.get(), 3);
     }
 
     #[test]
@@ -318,7 +297,7 @@ mod tests {
             outcomes,
             vec![false, false, true, true, true, false, false, false]
         );
-        assert_eq!(inj.metrics().unavailable_hits, 3);
+        assert_eq!(inj.metrics.unavailable_hits.get(), 3);
     }
 
     #[test]
@@ -370,9 +349,8 @@ mod tests {
         for _ in 0..4 {
             assert!(inj.intercept(FaultOp::Produce, "t", 0).is_ok());
         }
-        let m = inj.metrics();
-        assert_eq!(m.latency_events, 2);
-        assert_eq!(m.injected_latency_ms, 50);
+        assert_eq!(inj.metrics.latency_events.get(), 2);
+        assert_eq!(inj.metrics.injected_latency_ms.get(), 50);
     }
 
     #[test]

@@ -50,7 +50,6 @@ pub mod error;
 pub mod fault;
 pub mod log;
 pub mod message;
-pub mod metrics;
 pub mod partitioner;
 pub mod producer;
 pub mod replication;
@@ -62,10 +61,9 @@ pub use broker::Broker;
 pub use buf::Bytes;
 pub use consumer::{Consumer, ConsumerRecord};
 pub use error::{FaultOp, KafkaError, Result};
-pub use fault::{FaultInjector, FaultKind, FaultMetricsSnapshot, FaultSchedule, FaultSpec};
+pub use fault::{FaultInjector, FaultKind, FaultSchedule, FaultSpec};
 pub use log::{FetchResult, PartitionLog, Record, SegmentConfig};
 pub use message::{Message, TopicPartition};
-pub use metrics::BrokerMetrics;
 pub use partitioner::Partitioner;
 pub use producer::{Producer, RecordMetadata};
 pub use replication::{AckMode, IsrDelta, ReplicationConfig};

@@ -264,8 +264,9 @@ mod tests {
         let md = p.send("t", Message::new("x")).unwrap();
         assert_eq!(md.offset, 0, "no duplicate appends across retries");
         assert_eq!(b.end_offset("t", 0).unwrap(), 1);
-        assert_eq!(p.retrier().metrics().retries(), 2);
-        assert_eq!(b.metrics().faults_injected(), 2);
+        assert_eq!(p.retrier().metrics().retries.get(), 2);
+        let snap = b.metrics_registry().snapshot();
+        assert_eq!(snap.counter("kafka.broker.faults_injected", &[]), Some(2));
 
         // With retries disabled the injected error surfaces verbatim.
         b.set_fault_injector(Some(FaultInjector::with_specs(

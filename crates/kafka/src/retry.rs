@@ -13,6 +13,7 @@
 //! for callers that want wall-clock pacing.
 
 use crate::error::{KafkaError, Result};
+use samzasql_obs::{Counter, Histogram, MetricsRegistry};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -177,54 +178,31 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Shared retry counters, cloneable so one metrics sink can span a
-/// container's producer, consumer, checkpoint, and changelog retriers.
-///
-/// Backed by [`samzasql_obs`] instruments since the obs migration: the
-/// accessors are unchanged, and [`RetryMetrics::register_into`] adopts the
-/// live counters (plus a per-retry backoff histogram) into a shared
-/// registry under `kafka.retry.*`.
+/// Retry instruments, cloneable so one bundle can span a container's
+/// producer, consumer, checkpoint, and changelog retriers. The container
+/// mints them under `kafka.retry.*` ([`RetryMetrics::new`]); `Default`
+/// gives unregistered handles to a retrier nobody publishes.
 #[derive(Debug, Clone, Default)]
 pub struct RetryMetrics {
-    retries: samzasql_obs::Counter,
-    giveups: samzasql_obs::Counter,
-    backoff_ms: samzasql_obs::Counter,
-    backoff_hist_ms: samzasql_obs::Histogram,
+    /// Retried attempts (each backoff-then-try counts once).
+    pub retries: Counter,
+    /// Operations abandoned after exhausting attempts or budget.
+    pub giveups: Counter,
+    /// Cumulative backoff time (ms) across all retries.
+    pub backoff_ms: Counter,
+    /// Backoff per retry (ms).
+    pub backoff_hist_ms: Histogram,
 }
 
 impl RetryMetrics {
-    /// Publish the retry counters into `registry` under `kafka.retry.*`
-    /// with the given identity labels.
-    pub fn register_into(&self, registry: &samzasql_obs::MetricsRegistry, labels: &[(&str, &str)]) {
-        registry.adopt_counter("kafka.retry.retries", labels, &self.retries);
-        registry.adopt_counter("kafka.retry.giveups", labels, &self.giveups);
-        registry.adopt_counter("kafka.retry.backoff_ms", labels, &self.backoff_ms);
-        registry.adopt_histogram("kafka.retry.backoff_hist_ms", labels, &self.backoff_hist_ms);
-    }
-
-    /// Retried attempts (each backoff-then-try counts once).
-    pub fn retries(&self) -> u64 {
-        self.retries.get()
-    }
-
-    /// Operations abandoned after exhausting attempts or budget.
-    pub fn giveups(&self) -> u64 {
-        self.giveups.get()
-    }
-
-    /// Cumulative backoff time (ms) across all retries.
-    pub fn backoff_ms(&self) -> u64 {
-        self.backoff_ms.get()
-    }
-
-    fn record_retry(&self, backoff: u64) {
-        self.retries.inc();
-        self.backoff_ms.add(backoff);
-        self.backoff_hist_ms.record(backoff);
-    }
-
-    fn record_giveup(&self) {
-        self.giveups.inc();
+    /// Get or create the `kafka.retry.*` series with the given labels.
+    pub fn new(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
+        RetryMetrics {
+            retries: registry.counter("kafka.retry.retries", labels),
+            giveups: registry.counter("kafka.retry.giveups", labels),
+            backoff_ms: registry.counter("kafka.retry.backoff_ms", labels),
+            backoff_hist_ms: registry.histogram("kafka.retry.backoff_hist_ms", labels),
+        }
     }
 }
 
@@ -289,7 +267,7 @@ impl Retrier {
                             // Retries disabled: first error wins, verbatim.
                             return Err(e);
                         }
-                        self.metrics.record_giveup();
+                        self.metrics.giveups.inc();
                         return Err(KafkaError::RetriesExhausted {
                             attempts: attempt,
                             last: Box::new(e),
@@ -297,14 +275,16 @@ impl Retrier {
                     }
                     let backoff = self.policy.backoff_ms(attempt);
                     if self.policy.budget_ms > 0 && spent_ms + backoff > self.policy.budget_ms {
-                        self.metrics.record_giveup();
+                        self.metrics.giveups.inc();
                         return Err(KafkaError::RetriesExhausted {
                             attempts: attempt,
                             last: Box::new(e),
                         });
                     }
                     spent_ms += backoff;
-                    self.metrics.record_retry(backoff);
+                    self.metrics.retries.inc();
+                    self.metrics.backoff_ms.add(backoff);
+                    self.metrics.backoff_hist_ms.record(backoff);
                     self.clock.sleep_ms(backoff);
                 }
             }
@@ -343,8 +323,8 @@ mod tests {
             }
         });
         assert_eq!(out.unwrap(), 7);
-        assert_eq!(r.metrics().retries(), 3);
-        assert_eq!(r.metrics().giveups(), 0);
+        assert_eq!(r.metrics().retries.get(), 3);
+        assert_eq!(r.metrics().giveups.get(), 0);
     }
 
     #[test]
@@ -357,7 +337,7 @@ mod tests {
         });
         assert!(matches!(out, Err(KafkaError::UnknownTopic(_))));
         assert_eq!(calls.get(), 1);
-        assert_eq!(r.metrics().retries(), 0);
+        assert_eq!(r.metrics().retries.get(), 0);
     }
 
     #[test]
@@ -376,7 +356,7 @@ mod tests {
             other => panic!("expected exhaustion, got {other:?}"),
         }
         assert_eq!(calls.get(), 4, "exactly max_attempts calls, no spin");
-        assert_eq!(r.metrics().giveups(), 1);
+        assert_eq!(r.metrics().giveups.get(), 1);
     }
 
     #[test]
@@ -398,7 +378,7 @@ mod tests {
         assert!(matches!(out, Err(KafkaError::RetriesExhausted { .. })));
         // 4 backoffs of 10ms fit a 45ms budget; the 5th would exceed it.
         assert_eq!(calls.get(), 5);
-        assert_eq!(r.metrics().backoff_ms(), 40);
+        assert_eq!(r.metrics().backoff_ms.get(), 40);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! induced-delay histogram, and a credits gauge — so throttling is visible
 //! in registry snapshots instead of silently discarded by callers that
 //! ignore the returned debt (the broker produce path does exactly that).
-//! Adopt them into a registry with [`IoThrottle::register_into`].
+//! They are minted under `kafka.throttle.*` in the registry the throttle is
+//! built with — the broker's, [`Broker::metrics_registry`](crate::Broker::metrics_registry).
 
 use samzasql_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::Mutex;
@@ -49,9 +50,11 @@ struct ThrottleState {
 }
 
 impl IoThrottle {
-    /// Create a throttle with a sustained rate and a burst-credit pool.
-    pub fn new(sustained_bytes_per_sec: u64, burst_bytes: u64) -> Self {
-        let credits_gauge = Gauge::new();
+    /// Create a throttle with a sustained rate and a burst-credit pool,
+    /// publishing into `registry`.
+    pub fn new(registry: &MetricsRegistry, sustained_bytes_per_sec: u64, burst_bytes: u64) -> Self {
+        let counter = |name: &str| registry.counter(&format!("kafka.throttle.{name}"), &[]);
+        let credits_gauge = registry.gauge("kafka.throttle.credits", &[]);
         credits_gauge.set(burst_bytes as i64);
         IoThrottle {
             inner: Mutex::new(ThrottleState {
@@ -61,32 +64,13 @@ impl IoThrottle {
             }),
             sustained_bytes_per_sec: sustained_bytes_per_sec as f64,
             burst_bytes: burst_bytes as f64,
-            charges: Counter::new(),
-            bytes_charged: Counter::new(),
-            throttle_events: Counter::new(),
-            induced_delay_us: Histogram::new(),
-            induced_delay_us_total: Counter::new(),
+            charges: counter("charges"),
+            bytes_charged: counter("bytes_charged"),
+            throttle_events: counter("events"),
+            induced_delay_us: registry.histogram("kafka.throttle.induced_delay_us", &[]),
+            induced_delay_us_total: counter("induced_delay_us_total"),
             credits_gauge,
         }
-    }
-
-    /// Publish the throttle's instruments into `registry` under
-    /// `kafka.throttle.*` with the given identity labels.
-    pub fn register_into(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        registry.adopt_counter("kafka.throttle.charges", labels, &self.charges);
-        registry.adopt_counter("kafka.throttle.bytes_charged", labels, &self.bytes_charged);
-        registry.adopt_counter("kafka.throttle.events", labels, &self.throttle_events);
-        registry.adopt_histogram(
-            "kafka.throttle.induced_delay_us",
-            labels,
-            &self.induced_delay_us,
-        );
-        registry.adopt_counter(
-            "kafka.throttle.induced_delay_us_total",
-            labels,
-            &self.induced_delay_us_total,
-        );
-        registry.adopt_gauge("kafka.throttle.credits", labels, &self.credits_gauge);
     }
 
     /// Charge `bytes` of traffic at logical time `now_secs`. Returns the
@@ -127,34 +111,30 @@ impl IoThrottle {
         let s = self.inner.lock().unwrap();
         s.debt_secs > 0.0
     }
-
-    /// Charges that induced a nonzero stall.
-    pub fn throttle_events(&self) -> u64 {
-        self.throttle_events.get()
-    }
-
-    /// Cumulative induced delay in microseconds.
-    pub fn induced_delay_us_total(&self) -> u64 {
-        self.induced_delay_us_total.get()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn events(registry: &MetricsRegistry) -> Option<u64> {
+        registry.snapshot().counter("kafka.throttle.events", &[])
+    }
+
     #[test]
     fn burst_credits_absorb_initial_traffic() {
-        let t = IoThrottle::new(1000, 10_000);
+        let registry = MetricsRegistry::new();
+        let t = IoThrottle::new(&registry, 1000, 10_000);
         assert_eq!(t.charge(5000, 0.0), 0.0);
         assert!(!t.is_throttling());
         assert_eq!(t.credits(), 5000);
-        assert_eq!(t.throttle_events(), 0);
+        assert_eq!(events(&registry), Some(0));
     }
 
     #[test]
     fn exhausted_credits_accumulate_debt() {
-        let t = IoThrottle::new(1000, 1000);
+        let registry = MetricsRegistry::new();
+        let t = IoThrottle::new(&registry, 1000, 1000);
         assert_eq!(t.charge(1000, 0.0), 0.0);
         let debt = t.charge(2000, 0.0);
         assert!(
@@ -162,13 +142,12 @@ mod tests {
             "2000 uncovered bytes at 1000 B/s = 2 s, got {debt}"
         );
         assert!(t.is_throttling());
-        assert_eq!(t.throttle_events(), 1);
-        assert_eq!(t.induced_delay_us_total(), 2_000_000);
+        assert_eq!(events(&registry), Some(1));
     }
 
     #[test]
     fn credits_refill_over_time_up_to_burst() {
-        let t = IoThrottle::new(1000, 2000);
+        let t = IoThrottle::new(&MetricsRegistry::new(), 1000, 2000);
         t.charge(2000, 0.0); // drain
         t.charge(0, 1.0); // refill 1s * 1000 B/s
         assert_eq!(t.credits(), 1000);
@@ -177,10 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn registered_instruments_observe_throttling() {
-        let t = IoThrottle::new(1000, 1000);
+    fn instruments_observe_throttling() {
         let registry = MetricsRegistry::new();
-        t.register_into(&registry, &[]);
+        let t = IoThrottle::new(&registry, 1000, 1000);
         t.charge(3000, 0.0);
         let snap = registry.snapshot_prefix("kafka.throttle.");
         assert_eq!(snap.counter("kafka.throttle.charges", &[]), Some(1));

@@ -5,13 +5,11 @@
 //! - [`MetricsRegistry`] — thread-safe table of named, labeled
 //!   [`Counter`]/[`Gauge`]/[`Histogram`] instruments. Instruments are `Arc`
 //!   handles: the hot path updates relaxed atomics, the registry snapshots
-//!   them on demand. Legacy metric structs (`BrokerMetrics`, `TaskMetrics`,
-//!   `RetryMetrics`) *adopt* their counters into a registry so both their
-//!   original accessors and `METRICS` see the same values.
+//!   them on demand. Each deployment has one registry, owned by its broker;
+//!   every owner of instruments mints them from it when it is built.
 //! - [`Tracer`] — hierarchical spans with structured events, buffered in a
-//!   bounded ring, dumpable as line-JSON. Not part of [`Obs`]: a caller
-//!   that traces (the per-layer benchmark replay) builds its own over the
-//!   clock it measures with.
+//!   bounded ring, dumpable as line-JSON. A caller that traces (the
+//!   per-layer benchmark replay) builds one over the clock it measures with.
 //! - [`TimeSource`] — injected clock ([`MonotonicTime`] in production,
 //!   [`ManualTime`] in tests) so no obs test touches `std::time`.
 //!
@@ -37,34 +35,3 @@ pub use instruments::{
 pub use registry::{Labels, MetricSnapshot, MetricValue, MetricsRegistry, RegistrySnapshot};
 pub use time::{ManualTime, MonotonicTime, Stopwatch, TimeSource};
 pub use trace::{Span, SpanRecord, Tracer, DEFAULT_RING_CAPACITY};
-
-use std::sync::Arc;
-
-/// Bundle of the observability facilities one process shares: a registry
-/// and the clock profiled time is measured against.
-#[derive(Debug, Clone)]
-pub struct Obs {
-    pub registry: MetricsRegistry,
-    pub clock: Arc<dyn TimeSource>,
-}
-
-impl Obs {
-    /// Production bundle over a monotonic wall clock.
-    pub fn new() -> Self {
-        Self::with_clock(Arc::new(MonotonicTime::new()))
-    }
-
-    /// Bundle over an injected clock (virtual in tests).
-    pub fn with_clock(clock: Arc<dyn TimeSource>) -> Self {
-        Obs {
-            registry: MetricsRegistry::new(),
-            clock,
-        }
-    }
-}
-
-impl Default for Obs {
-    fn default() -> Self {
-        Self::new()
-    }
-}

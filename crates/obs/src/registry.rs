@@ -1,11 +1,10 @@
 //! The shared metrics registry.
 //!
-//! A registry is a cheap cloneable handle to a process-wide table of named,
-//! labeled instruments. Call sites either ask the registry to mint an
-//! instrument (`counter`/`gauge`/`histogram` are get-or-create) or *adopt*
-//! an instrument they already own into the table — the path the legacy
-//! `BrokerMetrics`/`TaskMetrics` shims take so their accessors and the
-//! registry observe the same atomics.
+//! A registry is a cheap cloneable handle to a table of named, labeled
+//! instruments. Owners mint their instruments when they are built:
+//! `counter`/`gauge`/`histogram` are get-or-create, so a second owner of
+//! the same (name, labels) series — a respawned container, say — gets the
+//! live handle back and the series continues.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -80,31 +79,6 @@ impl MetricsRegistry {
             Instrument::Histogram(h) => h,
             other => panic!("metric {name} already registered as a {}", other.kind()),
         }
-    }
-
-    /// Publish an existing counter handle under `name`+`labels`, replacing
-    /// any prior series with that identity.
-    pub fn adopt_counter(&self, name: &str, labels: &[(&str, &str)], counter: &Counter) {
-        self.table.lock().unwrap().insert(
-            (name.to_string(), normalize(labels)),
-            Instrument::Counter(counter.clone()),
-        );
-    }
-
-    /// Publish an existing gauge handle under `name`+`labels`.
-    pub fn adopt_gauge(&self, name: &str, labels: &[(&str, &str)], gauge: &Gauge) {
-        self.table.lock().unwrap().insert(
-            (name.to_string(), normalize(labels)),
-            Instrument::Gauge(gauge.clone()),
-        );
-    }
-
-    /// Publish an existing histogram handle under `name`+`labels`.
-    pub fn adopt_histogram(&self, name: &str, labels: &[(&str, &str)], histogram: &Histogram) {
-        self.table.lock().unwrap().insert(
-            (name.to_string(), normalize(labels)),
-            Instrument::Histogram(histogram.clone()),
-        );
     }
 
     /// Number of registered series.
@@ -216,16 +190,6 @@ mod tests {
         r.counter("y", &[("b", "2"), ("a", "1")]).inc();
         assert_eq!(r.len(), 1);
         assert_eq!(r.snapshot().counter_sum("y"), 2);
-    }
-
-    #[test]
-    fn adopted_instruments_publish_live_values() {
-        let r = MetricsRegistry::new();
-        let c = Counter::new();
-        c.add(7);
-        r.adopt_counter("adopted", &[], &c);
-        c.add(1);
-        assert_eq!(r.snapshot().counter("adopted", &[]), Some(8));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::thread;
 
 use samzasql_obs::{
     bucket_index, bucket_upper_bound, render_json_lines, render_prometheus, render_text, Histogram,
-    ManualTime, MetricsRegistry, Obs, Stopwatch, Tracer,
+    ManualTime, MetricsRegistry, Stopwatch, Tracer,
 };
 use samzasql_testkit::cases;
 
@@ -130,8 +130,7 @@ fn histogram_contention_preserves_count_and_sum() {
 fn snapshots_are_deterministic_under_virtual_clock() {
     fn run_workload() -> (String, String, String) {
         let clock = Arc::new(ManualTime::new());
-        let obs = Obs::with_clock(clock.clone());
-        let r = &obs.registry;
+        let r = &MetricsRegistry::new();
 
         r.counter("kafka.broker.messages_in", &[("broker", "0")])
             .add(128);

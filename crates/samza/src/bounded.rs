@@ -14,7 +14,6 @@ use crate::coordinator::JobModel;
 use crate::error::Result;
 use crate::task::TaskFactory;
 use samzasql_kafka::Broker;
-use samzasql_obs::MetricsRegistry;
 use std::sync::Mutex;
 
 /// Worker threads for `units` independent pieces of work: one per core,
@@ -101,18 +100,14 @@ where
 /// container count is ignored), and each container is sized by its input
 /// records — `end_offset − start_offset` summed over its tasks' input
 /// partitions. The containers then run on [`largest_first`], one worker per
-/// core: each worker builds the container it pulls, binds it to `registry`,
-/// drives it with [`Container::run_until_caught_up`] and finishes with one
-/// [`Container::window_all`] for end-of-input flushing. Every container
+/// core: each worker builds the container it pulls (its series land in the
+/// broker's registry), drives it with [`Container::run_until_caught_up`] and
+/// finishes with one [`Container::window_all`] for end-of-input flushing.
+/// Every container
 /// has finished when this returns. The first error in container
 /// (partition) order is returned; a panicking container re-raises its panic
 /// here.
-pub fn run_bounded(
-    broker: &Broker,
-    config: JobConfig,
-    factory: &dyn TaskFactory,
-    registry: &MetricsRegistry,
-) -> Result<()> {
+pub fn run_bounded(broker: &Broker, config: JobConfig, factory: &dyn TaskFactory) -> Result<()> {
     // One container per task; planning caps the count at the task count.
     let config = config.containers(u32::MAX);
     let model = JobModel::plan(&config, broker)?;
@@ -127,7 +122,6 @@ pub fn run_bounded(
     }
     largest_first(sized, |cm| {
         let mut container = Container::new(broker.clone(), config.clone(), cm, factory)?;
-        container.bind_obs(registry);
         container.run_until_caught_up()?;
         container.window_all()
     })?;

@@ -252,7 +252,9 @@ pub fn apply_fault(
             sustained_bytes_per_sec,
             burst_bytes,
         } => {
-            cluster.broker().set_throttle(Some(Arc::new(IoThrottle::new(
+            let broker = cluster.broker();
+            broker.set_throttle(Some(Arc::new(IoThrottle::new(
+                broker.metrics_registry(),
                 *sustained_bytes_per_sec,
                 *burst_bytes,
             ))));

@@ -98,9 +98,6 @@ pub struct ClusterSim {
 struct ClusterState {
     nodes: Vec<Node>,
     jobs: HashMap<String, JobState>,
-    /// When set, every launched container (including respawns) publishes
-    /// its task/retry counters into this registry.
-    obs: Option<samzasql_obs::MetricsRegistry>,
 }
 
 fn coord_err(e: CoordError) -> SamzaError {
@@ -164,17 +161,10 @@ impl ClusterSim {
                     })
                     .collect(),
                 jobs: HashMap::new(),
-                obs: None,
             })),
             broker,
             coord,
         }
-    }
-
-    /// Route all container metrics (current and future launches, including
-    /// crash-recovery respawns) into `registry`.
-    pub fn set_metrics_registry(&self, registry: samzasql_obs::MetricsRegistry) {
-        self.inner.lock().unwrap().obs = Some(registry);
     }
 
     /// A single-node cluster with ample capacity — the common test setup.
@@ -222,7 +212,6 @@ impl ClusterSim {
                     config.name
                 )));
             }
-            let obs = st.obs.clone();
             let mut job = JobState {
                 config: config.clone(),
                 model: model.clone(),
@@ -248,7 +237,6 @@ impl ClusterSim {
                     node_index,
                     0,
                     Arc::new(AtomicU64::new(0)),
-                    obs.as_ref(),
                 )?;
                 job.containers.insert(cm.container_id, rc);
                 registrations.push((cm.container_id, session, 0u32));
@@ -289,7 +277,6 @@ impl ClusterSim {
         node_index: usize,
         generation: u32,
         processed: Arc<AtomicU64>,
-        obs: Option<&samzasql_obs::MetricsRegistry>,
     ) -> Result<RunningContainer> {
         let cm = model
             .containers
@@ -298,9 +285,6 @@ impl ClusterSim {
             .expect("container id from model")
             .clone();
         let mut container = Container::new(broker.clone(), config.clone(), cm, factory)?;
-        if let Some(registry) = obs {
-            container.bind_obs(registry);
-        }
         let stop = Arc::new(AtomicBool::new(false));
         let crash = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
@@ -450,7 +434,6 @@ impl ClusterSim {
         {
             let mut st = self.inner.lock().unwrap();
             let st_ref = &mut *st;
-            let obs = st_ref.obs.clone();
             let job = st_ref
                 .jobs
                 .get_mut(job_name)
@@ -468,7 +451,6 @@ impl ClusterSim {
                 new_node,
                 generation,
                 processed,
-                obs.as_ref(),
             )?;
             job.containers.insert(container_id, rc);
         }

@@ -10,14 +10,14 @@ use crate::checkpoint::{Checkpoint, CheckpointManager};
 use crate::config::JobConfig;
 use crate::coordinator::ContainerModel;
 use crate::error::Result;
-use crate::kv::KeyValueStore;
+use crate::kv::{KeyValueStore, StoreMetrics};
 use crate::system::{IncomingMessageEnvelope, MessageCollector, OutgoingMessageEnvelope};
 use crate::task::{StreamTask, TaskContext, TaskCoordinator, TaskFactory};
 use samzasql_kafka::partitioner::hash_bytes;
 use samzasql_kafka::{
     AckMode, Broker, KafkaError, Message, Retrier, RetryMetrics, TopicConfig, TopicPartition,
 };
-use samzasql_obs::Counter;
+use samzasql_obs::{Counter, MetricsRegistry};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -46,22 +46,29 @@ struct TaskInstance {
     /// Reusable buffer for draining the collector on flush (capacity
     /// persists across flushes).
     out_scratch: Vec<OutgoingMessageEnvelope>,
+    counters: TaskCounters,
 }
 
-/// Point-in-time view of a container's progress.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ContainerMetricsSnapshot {
-    pub messages_processed: u64,
-    pub messages_sent: u64,
-    pub commits: u64,
-    pub window_calls: u64,
-    /// Broker calls retried across all of the container's clients
-    /// (input fetch, output flush, changelog flush/restore, checkpoints).
-    pub retries: u64,
-    /// Broker calls abandoned after exhausting the retry policy.
-    pub giveups: u64,
-    /// Empty steps after which [`Container::step_or_park`] parked.
-    pub idle_waits: u64,
+/// A task's `samza.task.*` counters.
+struct TaskCounters {
+    messages_processed: Counter,
+    messages_sent: Counter,
+    process_errors: Counter,
+    commits: Counter,
+    window_calls: Counter,
+}
+
+impl TaskCounters {
+    fn new(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
+        let counter = |name: &str| registry.counter(&format!("samza.task.{name}"), labels);
+        TaskCounters {
+            messages_processed: counter("messages_processed"),
+            messages_sent: counter("messages_sent"),
+            process_errors: counter("process_errors"),
+            commits: counter("commits"),
+            window_calls: counter("window_calls"),
+        }
+    }
 }
 
 /// Boundaries inside the commit sequence where a crash can be injected.
@@ -107,10 +114,8 @@ pub struct Container {
     checkpoints: CheckpointManager,
     tasks: Vec<TaskInstance>,
     initialized: bool,
-    /// Shared sink for every retrier the container hands out; surfaced via
-    /// [`metrics`](Self::metrics).
-    retry_metrics: RetryMetrics,
-    /// Retrier cloned into the fetch/flush paths (same policy, same sink).
+    /// Retrier cloned into the fetch/flush, checkpoint and changelog paths
+    /// (same policy, one `kafka.retry.*` sink).
     retrier: Retrier,
     /// Armed commit-boundary crash (test hook), consumed on first trigger.
     commit_crash: Cell<Option<CommitPoint>>,
@@ -122,25 +127,43 @@ impl Container {
     /// Build a container for `model`. Tasks are created via the factory but
     /// not yet initialized; call [`init`](Self::init) (or any run method,
     /// which initializes lazily).
+    ///
+    /// Every instrument the container and its tasks and stores count into
+    /// is minted here, in the broker's registry: `samza.task.*` labeled
+    /// `job`/`container`/`task`, `samza.store.*` with a `store` label
+    /// added, and `kafka.retry.*` and `samza.container.idle_waits` labeled
+    /// `job`/`container`. The series are get-or-create, so a respawned
+    /// incarnation of the same container continues its predecessor's.
     pub fn new(
         broker: Broker,
         config: JobConfig,
         model: ContainerModel,
         factory: &dyn TaskFactory,
     ) -> Result<Self> {
-        let retry_metrics = RetryMetrics::default();
-        let retrier = Retrier::default().with_metrics(retry_metrics.clone());
+        let registry = broker.metrics_registry();
+        let job = config.name.as_str();
+        let container = model.container_id.to_string();
+        let container_labels = [("job", job), ("container", container.as_str())];
+        let retrier =
+            Retrier::default().with_metrics(RetryMetrics::new(registry, &container_labels));
+        let idle_waits = registry.counter("samza.container.idle_waits", &container_labels);
         let checkpoints =
             CheckpointManager::new(broker.clone(), &config.name)?.with_retrier(retrier.clone());
         let mut tasks = Vec::with_capacity(model.tasks.len());
         for tm in &model.tasks {
+            let task = tm.partition.to_string();
+            let labels = [
+                ("job", job),
+                ("container", container.as_str()),
+                ("task", task.as_str()),
+            ];
             let mut ctx = TaskContext::new(
                 tm.task_name.clone(),
                 tm.partition,
                 tm.input_partitions.clone(),
+                registry.clone(),
             );
-            // Stores exist from the start so `bind_obs` can publish their
-            // counters; `init` restores them from their changelogs.
+            // `init` restores the stores from their changelogs.
             for store_cfg in &config.stores {
                 let mut store = match &store_cfg.changelog_topic {
                     Some(clog) => KeyValueStore::with_changelog(
@@ -152,6 +175,8 @@ impl Container {
                     None => KeyValueStore::ephemeral(store_cfg.name.clone()),
                 };
                 store.set_retrier(retrier.clone());
+                let store_labels = [&labels[..], &[("store", store_cfg.name.as_str())]].concat();
+                store.set_metrics(StoreMetrics::new(registry, &store_labels));
                 ctx.register_store(store);
             }
             tasks.push(TaskInstance {
@@ -164,6 +189,7 @@ impl Container {
                 processed_since_window: 0,
                 shutdown: false,
                 out_scratch: Vec::new(),
+                counters: TaskCounters::new(registry, &labels),
             });
         }
         Ok(Container {
@@ -173,10 +199,9 @@ impl Container {
             checkpoints,
             tasks,
             initialized: false,
-            retry_metrics,
             retrier,
             commit_crash: Cell::new(None),
-            idle_waits: Counter::default(),
+            idle_waits,
         })
     }
 
@@ -363,12 +388,15 @@ impl Container {
                 if commit_interval > 0 {
                     take = take.min((commit_interval - ti.processed_since_commit) as usize);
                 }
-                let consumed = ti.task.process_batch(
-                    &slice[i..i + take],
-                    &mut ti.ctx,
-                    &mut collector,
-                    &mut coordinator,
-                )?;
+                let consumed = ti
+                    .task
+                    .process_batch(
+                        &slice[i..i + take],
+                        &mut ti.ctx,
+                        &mut collector,
+                        &mut coordinator,
+                    )
+                    .inspect_err(|_| ti.counters.process_errors.inc())?;
                 if consumed == 0 {
                     return Err(crate::error::SamzaError::Task {
                         task: ti.ctx.task_name.clone(),
@@ -385,12 +413,12 @@ impl Container {
                 processed += consumed as u64;
                 ti.processed_since_commit += consumed as u64;
                 ti.processed_since_window += consumed as u64;
-                ti.ctx.metrics.record_processed(consumed as u64);
+                ti.counters.messages_processed.add(consumed as u64);
                 if window_interval > 0 && ti.processed_since_window >= window_interval {
                     ti.processed_since_window = 0;
                     ti.task
                         .window(&mut ti.ctx, &mut collector, &mut coordinator)?;
-                    ti.ctx.metrics.record_window();
+                    ti.counters.window_calls.inc();
                 }
                 // Commit when the interval elapses or the task asked for it:
                 // flush pending output first, then checkpoint positions.
@@ -412,7 +440,7 @@ impl Container {
                         &retrier,
                         &mut collector,
                         &mut ti.out_scratch,
-                        &ti.ctx,
+                        &ti.counters.messages_sent,
                         task_partition,
                     )?;
                     crash_if_armed(
@@ -430,7 +458,7 @@ impl Container {
                         offsets: ti.positions.clone(),
                     };
                     checkpoints.write(&ti.ctx.task_name, &cp)?;
-                    ti.ctx.metrics.record_commit();
+                    ti.counters.commits.inc();
                     crash_if_armed(
                         commit_crash,
                         CommitPoint::AfterCheckpoint,
@@ -447,7 +475,7 @@ impl Container {
             &retrier,
             &mut collector,
             &mut ti.out_scratch,
-            &ti.ctx,
+            &ti.counters.messages_sent,
             task_partition,
         )?;
 
@@ -474,11 +502,11 @@ impl Container {
         retrier: &Retrier,
         collector: &mut MessageCollector,
         scratch: &mut Vec<OutgoingMessageEnvelope>,
-        ctx: &TaskContext,
+        sent: &Counter,
         task_partition: u32,
     ) -> Result<()> {
         collector.drain_into(scratch);
-        ctx.metrics.record_sent(scratch.len() as u64);
+        sent.add(scratch.len() as u64);
         if scratch.is_empty() {
             return Ok(());
         }
@@ -563,14 +591,14 @@ impl Container {
             let mut coordinator = TaskCoordinator::default();
             ti.task
                 .window(&mut ti.ctx, &mut collector, &mut coordinator)?;
-            ti.ctx.metrics.record_window();
+            ti.counters.window_calls.inc();
             let task_partition = ti.ctx.partition;
             Self::flush_outputs(
                 &broker,
                 &retrier,
                 &mut collector,
                 &mut ti.out_scratch,
-                &ti.ctx,
+                &ti.counters.messages_sent,
                 task_partition,
             )?;
         }
@@ -592,7 +620,7 @@ impl Container {
                 offsets: ti.positions.clone(),
             };
             self.checkpoints.write(&ti.ctx.task_name, &cp)?;
-            ti.ctx.metrics.record_commit();
+            ti.counters.commits.inc();
             crash_if_armed(
                 commit_crash,
                 CommitPoint::AfterCheckpoint,
@@ -614,47 +642,6 @@ impl Container {
             }
         }
         Ok(lag)
-    }
-
-    /// Publish the container's live task, store and retry counters into a
-    /// shared metrics registry. Task series go under `samza.task.*` labeled
-    /// `job`/`container`/`task`, store series under `samza.store.*` with a
-    /// `store` label added; the shared retry sink under `kafka.retry.*`
-    /// labeled `job`/`container`. Respawned incarnations re-register and
-    /// take over their series (latest registration wins).
-    pub fn bind_obs(&self, registry: &samzasql_obs::MetricsRegistry) {
-        let job = self.config.name.as_str();
-        let container = self.model.container_id.to_string();
-        for ti in &self.tasks {
-            let task = ti.ctx.partition.to_string();
-            let labels = [
-                ("job", job),
-                ("container", container.as_str()),
-                ("task", task.as_str()),
-            ];
-            ti.ctx.metrics.register_into(registry, &labels);
-            for store in ti.ctx.stores() {
-                store.register_into(registry, &labels);
-            }
-        }
-        let labels = [("job", job), ("container", container.as_str())];
-        self.retry_metrics.register_into(registry, &labels);
-        registry.adopt_counter("samza.container.idle_waits", &labels, &self.idle_waits);
-    }
-
-    /// Aggregate metrics across the container's tasks.
-    pub fn metrics(&self) -> ContainerMetricsSnapshot {
-        let mut snap = ContainerMetricsSnapshot::default();
-        for ti in &self.tasks {
-            snap.messages_processed += ti.ctx.metrics.messages_processed();
-            snap.messages_sent += ti.ctx.metrics.messages_sent();
-            snap.commits += ti.ctx.metrics.commits();
-            snap.window_calls += ti.ctx.metrics.window_calls();
-        }
-        snap.retries = self.retry_metrics.retries();
-        snap.giveups = self.retry_metrics.giveups();
-        snap.idle_waits = self.idle_waits.get();
-        snap
     }
 
     /// Number of tasks whose bootstrap phase is still pending.

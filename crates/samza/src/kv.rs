@@ -45,14 +45,32 @@ pub struct StoreMetricsSnapshot {
     pub bytes_read: u64,
 }
 
+/// A store's access counters. A container mints them under
+/// `samza.store.*` ([`StoreMetrics::new`]) and hands them to the stores it
+/// builds; a store built on its own counts into unregistered handles.
 #[derive(Debug, Default)]
-struct StoreMetrics {
-    gets: Counter,
-    puts: Counter,
-    deletes: Counter,
-    range_scans: Counter,
-    bytes_written: Counter,
-    bytes_read: Counter,
+pub struct StoreMetrics {
+    pub gets: Counter,
+    pub puts: Counter,
+    pub deletes: Counter,
+    pub range_scans: Counter,
+    pub bytes_written: Counter,
+    pub bytes_read: Counter,
+}
+
+impl StoreMetrics {
+    /// Get or create the `samza.store.*` series with the given labels.
+    pub fn new(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> Self {
+        let counter = |name: &str| registry.counter(&format!("samza.store.{name}"), labels);
+        StoreMetrics {
+            gets: counter("gets"),
+            puts: counter("puts"),
+            deletes: counter("deletes"),
+            range_scans: counter("range_scans"),
+            bytes_written: counter("bytes_written"),
+            bytes_read: counter("bytes_read"),
+        }
+    }
 }
 
 /// Byte-level ordered key-value store with optional changelog.
@@ -128,6 +146,11 @@ impl KeyValueStore {
     /// container can share one metrics sink across all its retriers.
     pub fn set_retrier(&mut self, retrier: Retrier) {
         self.retrier = retrier;
+    }
+
+    /// Count accesses into `metrics` from now on.
+    pub fn set_metrics(&mut self, metrics: StoreMetrics) {
+        self.metrics = metrics;
     }
 
     /// Charge the engine cost for one access. RocksDB's per-operation cost
@@ -295,24 +318,6 @@ impl KeyValueStore {
             range_scans: m.range_scans.get(),
             bytes_written: m.bytes_written.get(),
             bytes_read: m.bytes_read.get(),
-        }
-    }
-
-    /// Publish the store's counters into `registry` under `samza.store.*`
-    /// with the given identity labels plus `store=<name>`.
-    pub fn register_into(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
-        let mut labels = labels.to_vec();
-        labels.push(("store", self.name.as_str()));
-        let m = &self.metrics;
-        for (name, counter) in [
-            ("samza.store.gets", &m.gets),
-            ("samza.store.puts", &m.puts),
-            ("samza.store.deletes", &m.deletes),
-            ("samza.store.range_scans", &m.range_scans),
-            ("samza.store.bytes_read", &m.bytes_read),
-            ("samza.store.bytes_written", &m.bytes_written),
-        ] {
-            registry.adopt_counter(name, &labels, counter);
         }
     }
 }

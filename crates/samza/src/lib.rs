@@ -38,7 +38,6 @@ pub mod container;
 pub mod coordinator;
 pub mod error;
 pub mod kv;
-pub mod metrics;
 pub mod system;
 pub mod task;
 
@@ -47,10 +46,9 @@ pub use chaos::{apply_fault, ChaosEvent, ChaosFault, ChaosScenario, ScenarioOpti
 pub use checkpoint::{Checkpoint, CheckpointManager};
 pub use cluster::{ClusterSim, JobHandle, NodeConfig};
 pub use config::{InputStreamConfig, JobConfig, OutputStreamConfig, StoreConfig};
-pub use container::{CommitPoint, Container, ContainerMetricsSnapshot};
+pub use container::{CommitPoint, Container};
 pub use coordinator::{ContainerModel, JobModel, TaskModel};
 pub use error::{Result, SamzaError};
-pub use kv::{KeyValueStore, StoreMetricsSnapshot, TypedStore};
-pub use metrics::TaskMetrics;
+pub use kv::{KeyValueStore, StoreMetrics, StoreMetricsSnapshot, TypedStore};
 pub use system::{IncomingMessageEnvelope, MessageCollector, OutgoingMessageEnvelope};
 pub use task::{StreamTask, TaskContext, TaskCoordinator, TaskFactory};

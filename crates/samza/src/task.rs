@@ -3,9 +3,9 @@
 
 use crate::error::Result;
 use crate::kv::KeyValueStore;
-use crate::metrics::TaskMetrics;
 use crate::system::{IncomingMessageEnvelope, MessageCollector};
 use samzasql_kafka::TopicPartition;
+use samzasql_obs::MetricsRegistry;
 use std::collections::BTreeMap;
 
 /// Lets a task signal the container, like Samza's `TaskCoordinator`.
@@ -47,8 +47,9 @@ pub struct TaskContext {
     pub input_partitions: Vec<TopicPartition>,
     /// Local stores by configured name.
     stores: BTreeMap<String, KeyValueStore>,
-    /// Task-level counters.
-    pub metrics: TaskMetrics,
+    /// The deployment's metrics registry, where a task mints any
+    /// instruments of its own (Samza's `TaskContext.getMetricsRegistry`).
+    pub metrics_registry: MetricsRegistry,
 }
 
 impl TaskContext {
@@ -56,13 +57,14 @@ impl TaskContext {
         task_name: impl Into<String>,
         partition: u32,
         input_partitions: Vec<TopicPartition>,
+        metrics_registry: MetricsRegistry,
     ) -> Self {
         TaskContext {
             task_name: task_name.into(),
             partition,
             input_partitions,
             stores: BTreeMap::new(),
-            metrics: TaskMetrics::default(),
+            metrics_registry,
         }
     }
 
@@ -85,11 +87,6 @@ impl TaskContext {
         self.stores
             .get(name)
             .ok_or_else(|| crate::error::SamzaError::UnknownStore(name.to_string()))
-    }
-
-    /// All registered stores, in name order.
-    pub(crate) fn stores(&self) -> impl Iterator<Item = &KeyValueStore> {
-        self.stores.values()
     }
 
     /// Names of all registered stores, in order.
@@ -205,7 +202,7 @@ mod tests {
 
     #[test]
     fn context_store_registry() {
-        let mut ctx = TaskContext::new("Partition 0", 0, vec![]);
+        let mut ctx = TaskContext::new("Partition 0", 0, vec![], MetricsRegistry::new());
         assert!(ctx.store("s").is_err());
         ctx.register_store(KeyValueStore::ephemeral("s"));
         assert!(ctx.store("s").is_ok());

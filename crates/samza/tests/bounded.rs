@@ -6,7 +6,6 @@
 
 use samzasql_kafka::partitioner::hash_bytes;
 use samzasql_kafka::{Broker, Message, TopicConfig};
-use samzasql_obs::MetricsRegistry;
 use samzasql_samza::{
     run_bounded, worker_count, Container, IncomingMessageEnvelope, InputStreamConfig, JobConfig,
     JobModel, MessageCollector, OutgoingMessageEnvelope, OutputStreamConfig, Result, SamzaError,
@@ -153,13 +152,7 @@ fn assert_parallel_matches_serial(input: fn() -> Broker) {
     let serial = input();
     run_serial(&serial);
     let parallel = input();
-    run_bounded(
-        &parallel,
-        config("parallel"),
-        &EchoFactory,
-        &MetricsRegistry::new(),
-    )
-    .unwrap();
+    run_bounded(&parallel, config("parallel"), &EchoFactory).unwrap();
     let out = drain(&parallel, "out");
     assert_eq!(out, drain(&serial, "out"));
     // Every task ran its end-of-input window once.
@@ -183,9 +176,8 @@ fn skewed_input_matches_one_serial_container() {
 #[test]
 fn every_task_gets_a_container_of_its_own() {
     let broker = broker_with_skewed_input();
-    let registry = MetricsRegistry::new();
-    run_bounded(&broker, config("placed"), &EchoFactory, &registry).unwrap();
-    let snapshot = registry.snapshot();
+    run_bounded(&broker, config("placed"), &EchoFactory).unwrap();
+    let snapshot = broker.metrics_registry().snapshot();
     let mut processed = 0;
     for p in 0..PARTITIONS {
         let id = p.to_string();
@@ -203,14 +195,15 @@ fn failing_task_surfaces_as_error() {
     broker
         .produce("in", PARTITIONS - 1, Message::new("fail"))
         .unwrap();
-    let err = run_bounded(
-        &broker,
-        config("fails"),
-        &EchoFactory,
-        &MetricsRegistry::new(),
-    )
-    .unwrap_err();
+    let err = run_bounded(&broker, config("fails"), &EchoFactory).unwrap_err();
     assert!(err.to_string().contains("bad record"), "{err}");
+    let last = (PARTITIONS - 1).to_string();
+    let labels = [("job", "fails"), ("container", &last), ("task", &last)];
+    let errors = broker.metrics_registry().snapshot();
+    assert_eq!(
+        errors.counter("samza.task.process_errors", &labels),
+        Some(1)
+    );
 }
 
 #[test]
@@ -220,12 +213,7 @@ fn panicking_task_re_raises() {
     broker
         .produce("in", PARTITIONS - 1, Message::new("panic"))
         .unwrap();
-    let _ = run_bounded(
-        &broker,
-        config("panics"),
-        &EchoFactory,
-        &MetricsRegistry::new(),
-    );
+    let _ = run_bounded(&broker, config("panics"), &EchoFactory);
 }
 
 /// Sends each input to two topics of different widths — keyed, keyless and

@@ -8,8 +8,9 @@ use samzasql_samza::{
     TaskContext, TaskCoordinator, TaskFactory,
 };
 use samzasql_serde::SerdeFormat;
+use samzasql_testkit::wait_until;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct Echo;
 impl StreamTask for Echo {
@@ -32,14 +33,6 @@ struct EchoFactory;
 impl TaskFactory for EchoFactory {
     fn create(&self, _partition: u32) -> Box<dyn StreamTask> {
         Box::new(Echo)
-    }
-}
-
-fn wait_for<F: Fn() -> bool>(cond: F, timeout: Duration, what: &str) {
-    let start = Instant::now();
-    while !cond() {
-        assert!(start.elapsed() < timeout, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -71,11 +64,9 @@ fn submitted_job_processes_live_traffic() {
             .produce("in", i % 4, Message::new(format!("{i}")))
             .unwrap();
     }
-    wait_for(
-        || handle.processed() >= 200,
-        Duration::from_secs(10),
-        "200 messages processed",
-    );
+    wait_until("200 messages processed", Duration::from_secs(10), || {
+        handle.processed() >= 200
+    });
     handle.stop().unwrap();
     assert_eq!(count_topic(&broker, "out"), 200);
 }
@@ -140,10 +131,10 @@ fn jobs_are_isolated() {
     broker
         .produce("in2", 0, Message::new("still alive"))
         .unwrap();
-    wait_for(
-        || h2.processed() >= 1,
-        Duration::from_secs(10),
+    wait_until(
         "j2 processes after j1 stops",
+        Duration::from_secs(10),
+        || h2.processed() >= 1,
     );
     assert_eq!(cluster.running_jobs(), vec!["j2".to_string()]);
     h2.stop().unwrap();
@@ -182,6 +173,61 @@ impl TaskFactory for CounterFactory {
     }
 }
 
+/// A respawned container mints the same `(job, container, task)` series
+/// as the incarnation it replaces, so the series continue across the
+/// respawn instead of resetting.
+#[test]
+fn task_series_continue_across_a_respawn() {
+    let broker = Broker::new();
+    for topic in ["in", "out"] {
+        broker
+            .create_topic(topic, TopicConfig::with_partitions(1))
+            .unwrap();
+    }
+    let cluster = ClusterSim::single_node(broker.clone());
+    let mut cfg = JobConfig::new("echo")
+        .input(InputStreamConfig::avro("in"))
+        .output(OutputStreamConfig::avro("out"));
+    // Every message is checkpointed as it is processed, so the respawn
+    // replays nothing and the series counts each message once.
+    cfg.commit_interval_messages = 1;
+    let handle = cluster.submit(cfg, Arc::new(EchoFactory)).unwrap();
+    let labels = [("job", "echo"), ("container", "0"), ("task", "0")];
+    let processed = || {
+        let snap = broker.metrics_registry().snapshot_prefix("samza.task.");
+        snap.counter("samza.task.messages_processed", &labels)
+            .unwrap()
+    };
+
+    for i in 0..30 {
+        broker
+            .produce("in", 0, Message::new(format!("{i}")))
+            .unwrap();
+    }
+    wait_until("30 processed", Duration::from_secs(10), || {
+        processed() == 30
+    });
+    handle.kill_container(0).unwrap();
+    assert_eq!(cluster.container_generation("echo", 0), Some(1));
+    // The replacement is built and running, and has seen no new input.
+    let mut seen = vec![30, processed()];
+    for i in 30..50 {
+        broker
+            .produce("in", 0, Message::new(format!("{i}")))
+            .unwrap();
+    }
+    wait_until("50 processed", Duration::from_secs(10), || {
+        seen.push(processed());
+        seen[seen.len() - 1] >= 50
+    });
+    assert!(
+        seen.windows(2).all(|w| w[0] <= w[1]),
+        "messages_processed decreased across the respawn: {seen:?}"
+    );
+    assert_eq!(processed(), 50);
+    handle.stop().unwrap();
+}
+
 #[test]
 fn kill_and_restart_restores_state_and_resumes() {
     let broker = Broker::new();
@@ -210,22 +256,18 @@ fn kill_and_restart_restores_state_and_resumes() {
     for _ in 0..50 {
         broker.produce("in", 0, Message::keyed("k", "x")).unwrap();
     }
-    wait_for(
-        || handle.processed() >= 50,
-        Duration::from_secs(10),
-        "first 50 processed",
-    );
+    wait_until("first 50 processed", Duration::from_secs(10), || {
+        handle.processed() >= 50
+    });
 
     handle.kill_container(0).unwrap();
 
     for _ in 0..50 {
         broker.produce("in", 0, Message::keyed("k", "x")).unwrap();
     }
-    wait_for(
-        || handle.processed() >= 100,
-        Duration::from_secs(10),
-        "remaining 50 processed",
-    );
+    wait_until("remaining 50 processed", Duration::from_secs(10), || {
+        handle.processed() >= 100
+    });
     handle.stop().unwrap();
 
     // The final count must be exactly 100: the restored store continued from

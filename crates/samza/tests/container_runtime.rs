@@ -3,7 +3,6 @@
 //! and store state and counters across container replacement.
 
 use samzasql_kafka::{Broker, Bytes, Message, TopicConfig};
-use samzasql_obs::MetricsRegistry;
 use samzasql_samza::{
     Container, IncomingMessageEnvelope, InputStreamConfig, JobConfig, JobModel, MessageCollector,
     OutgoingMessageEnvelope, OutputStreamConfig, Result, StreamTask, TaskContext, TaskCoordinator,
@@ -375,11 +374,14 @@ fn commit_interval_produces_periodic_checkpoints() {
     let mut container =
         Container::new(broker.clone(), cfg, model.containers[0].clone(), &factory).unwrap();
     container.run_until_caught_up().unwrap();
-    let m = container.metrics();
+    let labels = [("job", "commits"), ("container", "0"), ("task", "0")];
+    let commits = broker
+        .metrics_registry()
+        .snapshot()
+        .counter("samza.task.commits", &labels);
     assert!(
-        m.commits >= 4,
-        "100 msgs / interval 25 → at least 4 commits, got {}",
-        m.commits
+        commits >= Some(4),
+        "100 msgs / interval 25 → at least 4 commits, got {commits:?}"
     );
 }
 
@@ -446,31 +448,47 @@ fn store_state_survives_container_replacement() {
     c1.run_until_caught_up().unwrap();
     drop(c1); // container dies; in-memory store gone
 
+    // Both incarnations count into the same `samza.store.*` series, so
+    // each one's accesses are a delta of it.
+    let labels = [
+        ("job", "counting"),
+        ("container", "0"),
+        ("task", "0"),
+        ("store", "counts"),
+    ];
+    let store_series = || {
+        let snap = broker.metrics_registry().snapshot_prefix("samza.store.");
+        ["gets", "puts", "bytes_read"].map(|name| {
+            snap.counter(&format!("samza.store.{name}"), &labels)
+                .unwrap()
+        })
+    };
+    let before = store_series();
+    assert_eq!(
+        before[..2],
+        [5, 5],
+        "first incarnation: one get and put per message"
+    );
+
     for _ in 0..3 {
         broker.produce("in", 0, Message::keyed("k", "x")).unwrap();
     }
-    let registry = MetricsRegistry::new();
     let mut c2 =
         Container::new(broker.clone(), cfg, model.containers[0].clone(), &factory).unwrap();
-    c2.bind_obs(&registry);
     c2.run_until_caught_up().unwrap();
 
-    // The store's own counters are the registry's `samza.store.*` series.
+    // The store's own counters are the registry's series.
+    let after = store_series();
     let own = c2
         .task_context(0)
         .unwrap()
         .store("counts")
         .unwrap()
         .metrics();
-    assert_eq!((own.gets, own.puts), (3, 3), "restore counts no access");
-    assert!(own.bytes_read > 0);
-    let snap = registry.snapshot_prefix("samza.store.");
-    let labels = [("job", "counting"), ("container", "0"), ("task", "0")];
-    let labels = [&labels[..], &[("store", "counts")]].concat();
-    assert_eq!(snap.counter("samza.store.gets", &labels), Some(own.gets));
-    assert_eq!(snap.counter("samza.store.puts", &labels), Some(own.puts));
-    let read = snap.counter("samza.store.bytes_read", &labels);
-    assert_eq!(read, Some(own.bytes_read));
+    assert_eq!([own.gets, own.puts, own.bytes_read], after);
+    let delta = [0, 1, 2].map(|i| after[i] - before[i]);
+    assert_eq!(delta[..2], [3, 3], "restore counts no access");
+    assert!(delta[2] > 0);
 
     // The count continued from 5 → final message says 8.
     let out = drain_topic(&broker, "out");

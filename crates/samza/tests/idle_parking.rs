@@ -1,17 +1,18 @@
 //! Idle containers park instead of spinning. A container whose step finds
 //! no input blocks on the broker until a produce call (or its park
 //! timeout), counting one `samza.container.idle_waits` per park; stop, kill
-//! and crash wake it. Every wait below is on a condition, never a sleep.
+//! and crash wake it. Every wait below is on a condition, never a fixed
+//! sleep.
 
 use samzasql_kafka::{Broker, Message, TopicConfig};
-use samzasql_obs::MetricsRegistry;
 use samzasql_samza::{
     ClusterSim, Container, IncomingMessageEnvelope, InputStreamConfig, JobConfig, JobModel,
     MessageCollector, OutgoingMessageEnvelope, OutputStreamConfig, Result, StreamTask, TaskContext,
     TaskCoordinator, TaskFactory,
 };
+use samzasql_testkit::wait_until;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const PARTITIONS: u32 = 32;
 
@@ -56,17 +57,12 @@ fn config(containers: u32) -> JobConfig {
         .containers(containers)
 }
 
-/// Yield until `cond` holds. The deadline only turns a hang into a failure.
-fn wait_until(cond: impl Fn() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::yield_now();
-    }
-}
+/// Longest any wait below may take.
+const WAIT: Duration = Duration::from_secs(30);
 
-fn idle_waits(registry: &MetricsRegistry, container: &str) -> u64 {
-    registry
+fn idle_waits(broker: &Broker, container: &str) -> u64 {
+    broker
+        .metrics_registry()
         .snapshot_prefix("samza.container.idle_waits")
         .counter(
             "samza.container.idle_waits",
@@ -89,53 +85,53 @@ fn every_empty_step_parks_once_and_a_produce_ends_the_park() {
         while container.step_or_park().unwrap() == 0 {
             empty_steps += 1;
         }
-        (empty_steps, container.metrics().idle_waits)
+        empty_steps
     });
     // Produce only once the container is blocked in the broker.
-    wait_until(|| broker.parked_waiters() == 1, "the container to park");
+    wait_until("the container to park", WAIT, || {
+        broker.parked_waiters() == 1
+    });
     broker.produce("in", 3, Message::new("x")).unwrap();
-    let (empty_steps, idle_waits) = stepper.join().unwrap();
+    let empty_steps = stepper.join().unwrap();
     assert!(empty_steps >= 1);
     // One park per empty step, none after the step that processed.
-    assert_eq!(idle_waits, empty_steps);
+    assert_eq!(idle_waits(&broker, "0"), empty_steps);
     assert_eq!(broker.parked_waiters(), 0);
 }
 
 #[test]
 fn idle_job_parks_then_processes_a_later_produce() {
     let broker = broker();
-    let registry = MetricsRegistry::new();
     let cluster = ClusterSim::single_node(broker.clone());
-    cluster.set_metrics_registry(registry.clone());
     let handle = cluster.submit(config(2), Arc::new(EchoFactory)).unwrap();
 
     // Both container threads block in the broker: a spinning loop would
     // never be seen there.
-    wait_until(|| broker.parked_waiters() == 2, "both containers to park");
-    assert!(idle_waits(&registry, "0") >= 1);
-    assert!(idle_waits(&registry, "1") >= 1);
+    wait_until("both containers to park", WAIT, || {
+        broker.parked_waiters() == 2
+    });
+    assert!(idle_waits(&broker, "0") >= 1);
+    assert!(idle_waits(&broker, "1") >= 1);
     assert_eq!(handle.processed(), 0);
 
     // A kill wakes the parked incarnation; its replacement parks in turn.
     handle.kill_container(0).unwrap();
-    wait_until(
-        || broker.parked_waiters() == 2,
-        "the replacement container to park",
-    );
+    wait_until("the replacement container to park", WAIT, || {
+        broker.parked_waiters() == 2
+    });
 
     for p in [0, PARTITIONS - 1] {
         broker.produce("in", p, Message::new("x")).unwrap();
     }
-    wait_until(|| handle.processed() == 2, "both records to be processed");
-    wait_until(
-        || {
-            (0..PARTITIONS)
-                .map(|p| broker.end_offset("out", p).unwrap())
-                .sum::<u64>()
-                == 2
-        },
-        "both records to be echoed",
-    );
+    wait_until("both records to be processed", WAIT, || {
+        handle.processed() == 2
+    });
+    wait_until("both records to be echoed", WAIT, || {
+        (0..PARTITIONS)
+            .map(|p| broker.end_offset("out", p).unwrap())
+            .sum::<u64>()
+            == 2
+    });
 
     // Stop wakes the parked containers and joins them.
     handle.stop().unwrap();

@@ -10,9 +10,11 @@
 //!   its own seed. When a case panics, the runner's panic names the case
 //!   index and the case seed, and `Rng::new(seed)` replays that one case.
 //!   There is no shrinking: a failing case is reported as drawn.
+//! * [`wait_until`] — the one condition wait the concurrent tests use.
 
 use std::ops::{Range, RangeInclusive};
 use std::panic::{self, AssertUnwindSafe};
+use std::time::{Duration, Instant};
 
 /// Letters and digits, in the order [`Rng::alphanumeric`] indexes them.
 const ALPHANUMERIC: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
@@ -140,6 +142,20 @@ pub fn cases(n: u32, seed: u64, mut property: impl FnMut(&mut Rng)) {
                  replay it with Rng::new({case_seed:#018x})): {message}"
             );
         }
+    }
+}
+
+/// Poll `cond` until it holds. Panics naming `what` once `timeout` has
+/// passed: the deadline only turns a hang into a failure. The caller sleeps
+/// 1 ms between polls, leaving the cores to the threads it waits on.
+pub fn wait_until(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + timeout;
+    while !cond() {
+        assert!(
+            Instant::now() < deadline,
+            "timed out after {timeout:?} waiting for {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 

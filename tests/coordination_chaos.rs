@@ -13,16 +13,9 @@ use samzasql::samza::{
     TaskContext, TaskCoordinator, TaskFactory,
 };
 use samzasql::serde::SerdeFormat;
+use samzasql_testkit::wait_until;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn wait_for<F: Fn() -> bool>(cond: F, timeout: Duration, what: &str) {
-    let start = Instant::now();
-    while !cond() {
-        assert!(start.elapsed() < timeout, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
+use std::time::Duration;
 
 /// Stateful counter: per-key running count held in a changelog-backed store,
 /// so a rescheduled container must restore state to keep the count exact.
@@ -108,11 +101,9 @@ fn forced_session_expiry_reschedules_container() {
     for _ in 0..50 {
         broker.produce("in", 0, Message::keyed("k", "x")).unwrap();
     }
-    wait_for(
-        || handle.processed() >= 50,
-        Duration::from_secs(10),
-        "first 50 processed",
-    );
+    wait_until("first 50 processed", Duration::from_secs(10), || {
+        handle.processed() >= 50
+    });
 
     let before = coord.metrics();
     let session = cluster
@@ -125,10 +116,10 @@ fn forced_session_expiry_reschedules_container() {
 
     // --- chaos: the container's session dies (ZK partition / GC pause) ---
     coord.force_expire(session).unwrap();
-    wait_for(
-        || cluster.container_generation("counter", 0) == Some(1),
-        Duration::from_secs(10),
+    wait_until(
         "AM watch fires and reschedules the container",
+        Duration::from_secs(10),
+        || cluster.container_generation("counter", 0) == Some(1),
     );
     let new_session = cluster
         .container_session("counter", 0)
@@ -145,11 +136,9 @@ fn forced_session_expiry_reschedules_container() {
     for _ in 0..50 {
         broker.produce("in", 0, Message::keyed("k", "x")).unwrap();
     }
-    wait_for(
-        || handle.processed() >= 100,
-        Duration::from_secs(10),
-        "remaining 50 processed",
-    );
+    wait_until("remaining 50 processed", Duration::from_secs(10), || {
+        handle.processed() >= 100
+    });
     // Exactly 100: the replacement restored its store from the changelog and
     // resumed from the last checkpoint.
     assert_eq!(last_output(&broker).as_deref(), Some("100"));
