@@ -23,6 +23,11 @@ if grep -rnE 'adopt_(counter|gauge|histogram)|register_into|bind_obs|bind_metric
   echo "ci.sh: metric handles copied into a registry after construction" >&2
   exit 1
 fi
+# Only the substrate the runtime calls: no test-only Kafka clients or ZooKeeper APIs.
+if grep -rnwE 'Producer|Consumer|Partitioner|RecordMetadata|ConsumerRecord|offset_for_timestamp|CreateMode|poll_events|pause_delivery|watch_data|watch_children|BadVersion' crates src tests examples; then
+  echo "ci.sh: a deleted test-only Kafka client or coordination API is back" >&2
+  exit 1
+fi
 # The benchmark package (perfbench/) lives outside the workspace but builds
 # against its crates: a workspace API change that breaks it fails here, not
 # in the perf gate. It has no lockfile of its own, so it runs without

@@ -14,21 +14,11 @@ pub enum CoordError {
     NoNode(String),
     /// A create collided with an existing znode.
     NodeExists(String),
-    /// A versioned set/delete saw a different version than expected.
-    BadVersion {
-        path: String,
-        expected: u64,
-        actual: u64,
-    },
-    /// Delete refused: the znode still has children.
-    NotEmpty(String),
     /// Ephemeral znodes cannot have children.
     NoChildrenForEphemerals(String),
     /// The referenced session does not exist (never created, closed, or
     /// already expired).
     NoSession(SessionId),
-    /// An ephemeral create was attempted without a session.
-    EphemeralNeedsSession(String),
     /// The root znode cannot be created, deleted, or written.
     RootReadOnly,
 }
@@ -38,24 +28,10 @@ impl fmt::Display for CoordError {
         match self {
             CoordError::NoNode(p) => write!(f, "no node: {p}"),
             CoordError::NodeExists(p) => write!(f, "node already exists: {p}"),
-            CoordError::BadVersion {
-                path,
-                expected,
-                actual,
-            } => {
-                write!(
-                    f,
-                    "bad version for {path}: expected {expected}, actual {actual}"
-                )
-            }
-            CoordError::NotEmpty(p) => write!(f, "node not empty: {p}"),
             CoordError::NoChildrenForEphemerals(p) => {
                 write!(f, "ephemeral nodes cannot have children: {p}")
             }
             CoordError::NoSession(s) => write!(f, "no such session: {s}"),
-            CoordError::EphemeralNeedsSession(p) => {
-                write!(f, "ephemeral create without a session: {p}")
-            }
             CoordError::RootReadOnly => write!(f, "the root znode is read-only"),
         }
     }

@@ -68,11 +68,6 @@ impl ZnodePath {
     pub fn child(&self, name: &str) -> ZnodePath {
         ZnodePath::parse(&format!("{}/{}", self.0, name))
     }
-
-    /// Whether `other` is a direct child of `self`.
-    pub fn is_parent_of(&self, other: &ZnodePath) -> bool {
-        other.parent().as_ref() == Some(self)
-    }
 }
 
 impl std::fmt::Display for ZnodePath {
@@ -135,14 +130,5 @@ mod tests {
         assert_eq!(ZnodePath::parse("/a").child("b").as_str(), "/a/b");
         assert_eq!(ZnodePath::root().child("x").as_str(), "/x");
         assert_eq!(ZnodePath::parse("/a").child("b/c").as_str(), "/a/b/c");
-    }
-
-    #[test]
-    fn direct_child_relation() {
-        let a = ZnodePath::parse("/a");
-        assert!(a.is_parent_of(&ZnodePath::parse("/a/b")));
-        assert!(!a.is_parent_of(&ZnodePath::parse("/a/b/c")));
-        assert!(!a.is_parent_of(&ZnodePath::parse("/b")));
-        assert!(ZnodePath::root().is_parent_of(&a));
     }
 }

@@ -1,28 +1,25 @@
-//! The coordination service: znode tree, sessions, watches, fault injection.
+//! The coordination service: znode tree, sessions, deletion watches.
 //!
 //! An in-process, thread-safe stand-in for the ZooKeeper ensemble of the
 //! paper's deployment (§4.2 stores query text and schemas in ZooKeeper;
 //! Samza-style liveness leans on its sessions and ephemeral nodes):
 //!
 //! * **Znodes** — a hierarchical tree of string-valued nodes addressed by
-//!   [`ZnodePath`]s, each carrying a version counter ([`Stat`]) for
-//!   compare-and-set updates. Nodes are *persistent* or *ephemeral* (deleted
-//!   when the owning session ends), optionally *sequential* (the service
-//!   appends a per-parent, strictly increasing counter to the name).
+//!   [`ZnodePath`]s. Metadata nodes are persistent ([`Coord::upsert`]);
+//!   liveness nodes are ephemeral ([`Coord::create_ephemeral`]) and are
+//!   deleted when the owning session ends.
 //! * **Sessions** — clients hold a [`SessionId`] and heartbeat it; a session
 //!   whose heartbeat is older than its timeout is expired when the manual
 //!   clock advances, deleting all its ephemeral nodes. Expiry is
 //!   deterministic: the clock only moves via [`Coord::advance`].
-//! * **Watches** — one-shot triggers on data changes, children changes, or
-//!   node existence, delivered **in order** either to a session's event queue
-//!   (polled) or to a registered callback (invoked synchronously by the
-//!   thread that performed the mutation, after it released internal locks).
-//! * **Fault injection** — [`Coord::force_expire`] kills a session now,
+//! * **Deletion watches** — a one-shot callback armed on an existing node
+//!   ([`Coord::watch_deleted`]) runs once, when that node is deleted. It is
+//!   invoked by the thread that performed the deletion, after that thread
+//!   released the service's lock, in deletion order.
+//! * **Fault injection** — [`Coord::force_expire`] kills a session now, and
 //!   [`Coord::set_drop_heartbeats`] silently discards a client's heartbeats
-//!   (the client keeps believing it is alive), and
-//!   [`Coord::pause_delivery`] holds queued watch events until resumed.
+//!   (the client keeps believing it is alive).
 
-use crate::clock::ManualClock;
 use crate::error::{CoordError, Result};
 use crate::path::ZnodePath;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -38,77 +35,6 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// How a znode is created.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CreateMode {
-    Persistent,
-    Ephemeral,
-    PersistentSequential,
-    EphemeralSequential,
-}
-
-impl CreateMode {
-    pub fn is_ephemeral(self) -> bool {
-        matches!(
-            self,
-            CreateMode::Ephemeral | CreateMode::EphemeralSequential
-        )
-    }
-
-    pub fn is_sequential(self) -> bool {
-        matches!(
-            self,
-            CreateMode::PersistentSequential | CreateMode::EphemeralSequential
-        )
-    }
-}
-
-/// Znode metadata returned alongside reads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Stat {
-    /// Data version: 1 at creation, +1 per set.
-    pub version: u64,
-    /// Clock time of creation (ms).
-    pub created_at_ms: u64,
-    /// Clock time of the last data write (ms).
-    pub modified_at_ms: u64,
-    /// Owning session for ephemeral nodes.
-    pub ephemeral_owner: Option<SessionId>,
-    /// Number of direct children.
-    pub num_children: usize,
-}
-
-/// What a watch observes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WatchKind {
-    /// Data writes and deletion of the node.
-    Data,
-    /// Child create/delete under the node, and deletion of the node.
-    Children,
-    /// Creation, data writes, and deletion of the (possibly absent) node.
-    Exists,
-}
-
-/// What happened at a watched path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    NodeCreated,
-    NodeDeleted,
-    NodeDataChanged,
-    NodeChildrenChanged,
-}
-
-/// A delivered watch notification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WatchEvent {
-    pub path: ZnodePath,
-    pub kind: EventKind,
-}
-
-/// Identifies a registered (not yet fired) watch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct WatchId(u64);
-
 /// Counters exposed by [`Coord::metrics`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoordMetrics {
@@ -122,39 +48,19 @@ pub struct CoordMetrics {
     pub sessions_expired: u64,
     /// Sessions ended gracefully via close.
     pub sessions_closed: u64,
-    /// Watches ever registered.
+    /// Deletion watches ever armed.
     pub watches_registered: u64,
-    /// Watch events delivered (to queues or callbacks).
+    /// Deletion watch callbacks run.
     pub watches_fired: u64,
     /// Ephemeral znodes deleted because their session ended.
     pub ephemerals_reaped: u64,
-    /// Events queued but not yet delivered (e.g. while paused).
-    pub pending_deliveries: usize,
 }
 
-type WatchCallback = Arc<dyn Fn(WatchEvent) + Send + Sync>;
-
-enum Delivery {
-    /// Append to the session's event queue, drained by `poll_events`.
-    Session(SessionId),
-    /// Invoke a callback on the delivering thread (no locks held).
-    Callback(WatchCallback),
-}
-
-struct Watch {
-    path: ZnodePath,
-    kind: WatchKind,
-    delivery: Delivery,
-}
+type WatchCallback = Box<dyn FnOnce() + Send>;
 
 struct Znode {
     data: String,
-    version: u64,
-    created_at_ms: u64,
-    modified_at_ms: u64,
     owner: Option<SessionId>,
-    /// Monotone counter for sequential children of this node.
-    seq_counter: u64,
     /// Names of direct children. Kept explicitly (rather than derived from a
     /// map prefix scan) because path strings with bytes below `/` would break
     /// a scan's contiguity (`/q-x` sorts between `/q` and `/q/child`).
@@ -162,14 +68,10 @@ struct Znode {
 }
 
 impl Znode {
-    fn new(data: String, now_ms: u64, owner: Option<SessionId>) -> Znode {
+    fn new(data: String, owner: Option<SessionId>) -> Znode {
         Znode {
             data,
-            version: 1,
-            created_at_ms: now_ms,
-            modified_at_ms: now_ms,
             owner,
-            seq_counter: 0,
             children: BTreeSet::new(),
         }
     }
@@ -182,8 +84,6 @@ struct Session {
     drop_heartbeats: bool,
     /// Paths of ephemeral nodes owned by this session.
     ephemerals: BTreeSet<ZnodePath>,
-    /// Queued watch events for `poll_events`.
-    events: VecDeque<WatchEvent>,
 }
 
 #[derive(Default)]
@@ -199,11 +99,13 @@ struct Counters {
 struct Inner {
     nodes: BTreeMap<ZnodePath, Znode>,
     sessions: BTreeMap<SessionId, Session>,
-    watches: BTreeMap<WatchId, Watch>,
-    queue: VecDeque<(Delivery, WatchEvent)>,
+    /// Armed deletion watches per path, in arming order.
+    watches: BTreeMap<ZnodePath, Vec<WatchCallback>>,
+    /// Callbacks of fired watches, in deletion order, awaiting delivery.
+    queue: VecDeque<WatchCallback>,
+    /// The manual clock (ms): moves only in [`Coord::advance`].
+    now_ms: u64,
     next_session: u64,
-    next_watch: u64,
-    paused: bool,
     /// Re-entrancy guard: exactly one thread drains the queue at a time.
     delivering: bool,
     counters: Counters,
@@ -216,18 +118,32 @@ impl Inner {
             .ok_or_else(|| CoordError::NoNode(path.to_string()))
     }
 
-    fn stat_of(&self, node: &Znode) -> Stat {
-        Stat {
-            version: node.version,
-            created_at_ms: node.created_at_ms,
-            modified_at_ms: node.modified_at_ms,
-            ephemeral_owner: node.owner,
-            num_children: node.children.len(),
+    /// Insert a new node at `path`, creating missing ancestors as empty
+    /// persistent nodes (ZooKeeper's `creatingParentsIfNeeded`). Ephemeral
+    /// nodes cannot have children.
+    fn insert_node(&mut self, path: &ZnodePath, node: Znode) -> Result<()> {
+        // Missing ancestors, nearest first; the walk stops at the root.
+        let mut missing = Vec::new();
+        let mut cursor = path.parent();
+        while let Some(p) = cursor {
+            if let Some(existing) = self.nodes.get(&p) {
+                if existing.owner.is_some() {
+                    return Err(CoordError::NoChildrenForEphemerals(p.to_string()));
+                }
+                break;
+            }
+            cursor = p.parent();
+            missing.push(p);
         }
+        for p in missing.into_iter().rev() {
+            self.link(p, Znode::new(String::new(), None));
+        }
+        self.link(path.clone(), node);
+        Ok(())
     }
 
-    /// Insert a node and register it with its parent's child set.
-    fn insert_node(&mut self, path: ZnodePath, node: Znode) {
+    /// Add `node` at `path` and register it with its parent's child set.
+    fn link(&mut self, path: ZnodePath, node: Znode) {
         if let Some(parent) = path.parent() {
             if let Some(parent_node) = self.nodes.get_mut(&parent) {
                 parent_node.children.insert(path.basename().to_string());
@@ -236,28 +152,8 @@ impl Inner {
         self.nodes.insert(path, node);
     }
 
-    /// Move matching one-shot watches into the delivery queue.
-    fn trigger(&mut self, path: &ZnodePath, kinds: &[WatchKind], event: EventKind) {
-        let ids: Vec<WatchId> = self
-            .watches
-            .iter()
-            .filter(|(_, w)| w.path == *path && kinds.contains(&w.kind))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in ids {
-            let watch = self.watches.remove(&id).expect("collected id");
-            self.queue.push_back((
-                watch.delivery,
-                WatchEvent {
-                    path: path.clone(),
-                    kind: event,
-                },
-            ));
-        }
-    }
-
-    /// Remove a node (which must exist and have no children), triggering the
-    /// full delete notification set.
+    /// Remove a node (which must exist and have no children), queuing its
+    /// deletion watches.
     fn remove_node(&mut self, path: &ZnodePath) {
         let node = self.nodes.remove(path).expect("caller checked existence");
         if let Some(parent) = path.parent() {
@@ -270,41 +166,20 @@ impl Inner {
                 session.ephemerals.remove(path);
             }
         }
-        self.trigger(
-            path,
-            &[WatchKind::Data, WatchKind::Exists, WatchKind::Children],
-            EventKind::NodeDeleted,
-        );
-        if let Some(parent) = path.parent() {
-            self.trigger(
-                &parent,
-                &[WatchKind::Children],
-                EventKind::NodeChildrenChanged,
-            );
+        if let Some(callbacks) = self.watches.remove(path) {
+            self.queue.extend(callbacks);
         }
     }
 
-    /// End a session: delete its ephemerals (firing watches), cancel its
-    /// queue-delivered watches, drop it.
+    /// End a session: delete its ephemerals (in path order, firing their
+    /// watches) and drop it.
     fn end_session(&mut self, id: SessionId, expired: bool) {
         let Some(session) = self.sessions.remove(&id) else {
             return;
         };
-        for path in session.ephemerals.iter().rev() {
-            // rev(): children sort after parents, so delete deepest-first.
-            if self.nodes.contains_key(path) {
-                self.counters.ephemerals_reaped += 1;
-                self.remove_node(path);
-            }
-        }
-        let cancelled: Vec<WatchId> = self
-            .watches
-            .iter()
-            .filter(|(_, w)| matches!(w.delivery, Delivery::Session(s) if s == id))
-            .map(|(wid, _)| *wid)
-            .collect();
-        for wid in cancelled {
-            self.watches.remove(&wid);
+        for path in &session.ephemerals {
+            self.counters.ephemerals_reaped += 1;
+            self.remove_node(path);
         }
         if expired {
             self.counters.sessions_expired += 1;
@@ -318,7 +193,6 @@ impl Inner {
 #[derive(Clone)]
 pub struct Coord {
     inner: Arc<Mutex<Inner>>,
-    clock: ManualClock,
 }
 
 impl Default for Coord {
@@ -330,20 +204,18 @@ impl Default for Coord {
 impl Coord {
     pub fn new() -> Self {
         let mut nodes = BTreeMap::new();
-        nodes.insert(ZnodePath::root(), Znode::new(String::new(), 0, None));
+        nodes.insert(ZnodePath::root(), Znode::new(String::new(), None));
         Coord {
             inner: Arc::new(Mutex::new(Inner {
                 nodes,
                 sessions: BTreeMap::new(),
                 watches: BTreeMap::new(),
                 queue: VecDeque::new(),
+                now_ms: 0,
                 next_session: 0,
-                next_watch: 0,
-                paused: false,
                 delivering: false,
                 counters: Counters::default(),
             })),
-            clock: ManualClock::new(),
         }
     }
 
@@ -351,24 +223,19 @@ impl Coord {
         self.inner.lock().expect("coord lock poisoned")
     }
 
-    // ------------------------------------------------------------- clock
-
-    /// The manual clock backing session expiry (read-only use; advance via
-    /// [`Coord::advance`]).
-    pub fn clock(&self) -> &ManualClock {
-        &self.clock
+    /// Run `mutate` under the lock, then deliver the watches it fired.
+    fn mutate<T>(&self, mutate: impl FnOnce(&mut Inner) -> Result<T>) -> Result<T> {
+        let out = mutate(&mut self.lock());
+        self.deliver();
+        out
     }
 
-    /// Current clock time in ms.
-    pub fn now_ms(&self) -> u64 {
-        self.clock.now_ms()
-    }
-
-    /// Advance the clock, expire overdue sessions, deliver resulting events.
+    /// Advance the manual clock by `ms`, expiring sessions whose last
+    /// heartbeat is now older than their timeout.
     pub fn advance(&self, ms: u64) {
-        let now = self.clock.advance(ms);
-        {
-            let mut inner = self.lock();
+        let _ = self.mutate(|inner| {
+            inner.now_ms += ms;
+            let now = inner.now_ms;
             let overdue: Vec<SessionId> = inner
                 .sessions
                 .iter()
@@ -378,8 +245,8 @@ impl Coord {
             for id in overdue {
                 inner.end_session(id, true);
             }
-        }
-        self.deliver();
+            Ok(())
+        });
     }
 
     // ---------------------------------------------------------- sessions
@@ -390,26 +257,22 @@ impl Coord {
         let mut inner = self.lock();
         inner.next_session += 1;
         let id = SessionId(inner.next_session);
-        let now = self.clock.now_ms();
         inner.counters.sessions_created += 1;
-        inner.sessions.insert(
-            id,
-            Session {
-                timeout_ms,
-                last_heartbeat_ms: now,
-                drop_heartbeats: false,
-                ephemerals: BTreeSet::new(),
-                events: VecDeque::new(),
-            },
-        );
+        let session = Session {
+            timeout_ms,
+            last_heartbeat_ms: inner.now_ms,
+            drop_heartbeats: false,
+            ephemerals: BTreeSet::new(),
+        };
+        inner.sessions.insert(id, session);
         id
     }
 
     /// Refresh a session's liveness. Errs if the session no longer exists
     /// (closed or expired) — the client's cue that its ephemerals are gone.
     pub fn heartbeat(&self, id: SessionId) -> Result<()> {
-        let now = self.clock.now_ms();
         let mut inner = self.lock();
+        let now = inner.now_ms;
         let session = inner
             .sessions
             .get_mut(&id)
@@ -420,18 +283,21 @@ impl Coord {
         Ok(())
     }
 
-    /// Gracefully close a session, deleting its ephemeral nodes. Not counted
-    /// as an expiry.
-    pub fn close_session(&self, id: SessionId) -> Result<()> {
-        {
-            let mut inner = self.lock();
+    /// End a live session now, deleting its ephemerals.
+    fn end_session(&self, id: SessionId, expired: bool) -> Result<()> {
+        self.mutate(|inner| {
             if !inner.sessions.contains_key(&id) {
                 return Err(CoordError::NoSession(id));
             }
-            inner.end_session(id, false);
-        }
-        self.deliver();
-        Ok(())
+            inner.end_session(id, expired);
+            Ok(())
+        })
+    }
+
+    /// Gracefully close a session, deleting its ephemeral nodes. Not counted
+    /// as an expiry.
+    pub fn close_session(&self, id: SessionId) -> Result<()> {
+        self.end_session(id, false)
     }
 
     /// Whether the session is still alive.
@@ -439,20 +305,10 @@ impl Coord {
         self.lock().sessions.contains_key(&id)
     }
 
-    // ----------------------------------------------------- fault injection
-
     /// Expire a session immediately, exactly as a timeout would (deletes
     /// ephemerals, fires watches, counts as an expiry).
     pub fn force_expire(&self, id: SessionId) -> Result<()> {
-        {
-            let mut inner = self.lock();
-            if !inner.sessions.contains_key(&id) {
-                return Err(CoordError::NoSession(id));
-            }
-            inner.end_session(id, true);
-        }
-        self.deliver();
-        Ok(())
+        self.end_session(id, true)
     }
 
     /// Silently discard (or stop discarding) a session's heartbeats: the
@@ -468,203 +324,81 @@ impl Coord {
         Ok(())
     }
 
-    /// Hold queued watch events (they accumulate in order) until
-    /// [`Coord::resume_delivery`].
-    pub fn pause_delivery(&self) {
-        self.lock().paused = true;
-    }
-
-    /// Resume delivery, draining everything queued while paused.
-    pub fn resume_delivery(&self) {
-        self.lock().paused = false;
-        self.deliver();
-    }
-
     // ------------------------------------------------------------- znodes
 
-    /// Create a znode. Missing parents are created as persistent nodes
-    /// (ZooKeeper's `creatingParentsIfNeeded`). Sequential modes append a
-    /// per-parent, strictly increasing 10-digit counter to the name. Returns
-    /// the actual (canonical) path.
-    pub fn create(
+    /// Create an ephemeral znode owned by `session`; it is deleted when the
+    /// session closes or expires. Missing parents are created as persistent
+    /// nodes.
+    pub fn create_ephemeral(
         &self,
-        session: Option<SessionId>,
+        session: SessionId,
         path: impl Into<ZnodePath>,
         data: impl Into<String>,
-        mode: CreateMode,
-    ) -> Result<ZnodePath> {
-        let requested: ZnodePath = path.into();
-        if requested.is_root() {
-            return Err(CoordError::RootReadOnly);
-        }
-        let owner = if mode.is_ephemeral() {
-            let id =
-                session.ok_or_else(|| CoordError::EphemeralNeedsSession(requested.to_string()))?;
-            Some(id)
-        } else {
-            None
-        };
-        let now = self.clock.now_ms();
-        let created = {
-            let mut inner = self.lock();
-            if let Some(id) = owner {
-                if !inner.sessions.contains_key(&id) {
-                    return Err(CoordError::NoSession(id));
-                }
-            }
-            let parent = requested.parent().expect("non-root path has a parent");
-            // Materialize missing ancestors as persistent znodes.
-            let mut ancestors = Vec::new();
-            let mut cursor = Some(parent.clone());
-            while let Some(p) = cursor {
-                if inner.nodes.contains_key(&p) {
-                    break;
-                }
-                ancestors.push(p.clone());
-                cursor = p.parent();
-            }
-            for p in ancestors.into_iter().rev() {
-                inner.insert_node(p.clone(), Znode::new(String::new(), now, None));
-                inner.trigger(&p, &[WatchKind::Exists], EventKind::NodeCreated);
-                if let Some(gp) = p.parent() {
-                    inner.trigger(&gp, &[WatchKind::Children], EventKind::NodeChildrenChanged);
-                }
-            }
-            if inner.node(&parent)?.owner.is_some() {
-                return Err(CoordError::NoChildrenForEphemerals(parent.to_string()));
-            }
-            let actual = if mode.is_sequential() {
-                let parent_node = inner.nodes.get_mut(&parent).expect("parent ensured");
-                parent_node.seq_counter += 1;
-                let seq = parent_node.seq_counter;
-                ZnodePath::parse(&format!("{}{:010}", requested.as_str(), seq))
-            } else {
-                requested.clone()
-            };
-            if inner.nodes.contains_key(&actual) {
-                return Err(CoordError::NodeExists(actual.to_string()));
-            }
-            inner.insert_node(actual.clone(), Znode::new(data.into(), now, owner));
-            if let Some(id) = owner {
-                inner
-                    .sessions
-                    .get_mut(&id)
-                    .expect("session checked above")
-                    .ephemerals
-                    .insert(actual.clone());
-            }
-            inner.trigger(&actual, &[WatchKind::Exists], EventKind::NodeCreated);
-            inner.trigger(
-                &parent,
-                &[WatchKind::Children],
-                EventKind::NodeChildrenChanged,
-            );
-            actual
-        };
-        self.deliver();
-        Ok(created)
-    }
-
-    /// Read a znode's data and stat.
-    pub fn get(&self, path: impl Into<ZnodePath>) -> Result<(String, Stat)> {
-        let path = path.into();
-        let inner = self.lock();
-        let node = inner.node(&path)?;
-        Ok((node.data.clone(), inner.stat_of(node)))
-    }
-
-    /// Write a znode's data. With `expected_version` set, fails unless the
-    /// current version matches (compare-and-set). Returns the new version.
-    pub fn set(
-        &self,
-        path: impl Into<ZnodePath>,
-        data: impl Into<String>,
-        expected_version: Option<u64>,
-    ) -> Result<u64> {
-        let path = path.into();
-        if path.is_root() {
-            return Err(CoordError::RootReadOnly);
-        }
-        let now = self.clock.now_ms();
-        let version = {
-            let mut inner = self.lock();
-            let node = inner
-                .nodes
-                .get_mut(&path)
-                .ok_or_else(|| CoordError::NoNode(path.to_string()))?;
-            if let Some(expected) = expected_version {
-                if node.version != expected {
-                    return Err(CoordError::BadVersion {
-                        path: path.to_string(),
-                        expected,
-                        actual: node.version,
-                    });
-                }
-            }
-            node.data = data.into();
-            node.version += 1;
-            node.modified_at_ms = now;
-            let version = node.version;
-            inner.trigger(
-                &path,
-                &[WatchKind::Data, WatchKind::Exists],
-                EventKind::NodeDataChanged,
-            );
-            version
-        };
-        self.deliver();
-        Ok(version)
-    }
-
-    /// Create-or-overwrite a persistent znode (parents created as needed).
-    /// Returns the node's new version.
-    pub fn upsert(&self, path: impl Into<ZnodePath>, data: impl Into<String>) -> Result<u64> {
+    ) -> Result<()> {
         let path: ZnodePath = path.into();
-        let data: String = data.into();
-        match self.create(None, path.clone(), data.clone(), CreateMode::Persistent) {
-            Ok(_) => Ok(1),
-            Err(CoordError::NodeExists(_)) => self.set(path, data, None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Delete a znode. Fails with [`CoordError::NotEmpty`] if it has
-    /// children; with `expected_version` set, fails on version mismatch.
-    pub fn delete(&self, path: impl Into<ZnodePath>, expected_version: Option<u64>) -> Result<()> {
-        let path = path.into();
         if path.is_root() {
             return Err(CoordError::RootReadOnly);
         }
-        {
-            let mut inner = self.lock();
-            let node = inner.node(&path)?;
-            if let Some(expected) = expected_version {
-                if node.version != expected {
-                    return Err(CoordError::BadVersion {
-                        path: path.to_string(),
-                        expected,
-                        actual: node.version,
-                    });
-                }
-            }
-            if !inner.node(&path)?.children.is_empty() {
-                return Err(CoordError::NotEmpty(path.to_string()));
-            }
-            inner.remove_node(&path);
+        let mut inner = self.lock();
+        if !inner.sessions.contains_key(&session) {
+            return Err(CoordError::NoSession(session));
         }
-        self.deliver();
+        if inner.nodes.contains_key(&path) {
+            return Err(CoordError::NodeExists(path.to_string()));
+        }
+        inner.insert_node(&path, Znode::new(data.into(), Some(session)))?;
+        inner
+            .sessions
+            .get_mut(&session)
+            .expect("session checked above")
+            .ephemerals
+            .insert(path);
         Ok(())
     }
 
-    /// Delete a znode and everything under it (deepest first). A no-op if
-    /// the node does not exist.
+    /// Create-or-overwrite a znode's data; a created node is persistent and
+    /// its missing parents are created too. Writes never fire watches.
+    pub fn upsert(&self, path: impl Into<ZnodePath>, data: impl Into<String>) -> Result<()> {
+        let path: ZnodePath = path.into();
+        if path.is_root() {
+            return Err(CoordError::RootReadOnly);
+        }
+        let mut inner = self.lock();
+        match inner.nodes.get_mut(&path) {
+            Some(node) => {
+                node.data = data.into();
+                Ok(())
+            }
+            None => inner.insert_node(&path, Znode::new(data.into(), None)),
+        }
+    }
+
+    /// Read a znode's data.
+    pub fn get(&self, path: impl Into<ZnodePath>) -> Result<String> {
+        let path = path.into();
+        Ok(self.lock().node(&path)?.data.clone())
+    }
+
+    /// Whether the znode exists.
+    pub fn exists(&self, path: impl Into<ZnodePath>) -> bool {
+        self.lock().nodes.contains_key(&path.into())
+    }
+
+    /// Names of the direct children of a znode, sorted.
+    pub fn children(&self, path: impl Into<ZnodePath>) -> Result<Vec<String>> {
+        let path = path.into();
+        let inner = self.lock();
+        Ok(inner.node(&path)?.children.iter().cloned().collect())
+    }
+
+    /// Delete a znode and everything under it (deepest first), firing the
+    /// deleted nodes' watches. A no-op if the node does not exist.
     pub fn delete_recursive(&self, path: impl Into<ZnodePath>) -> Result<()> {
         let path = path.into();
         if path.is_root() {
             return Err(CoordError::RootReadOnly);
         }
-        {
-            let mut inner = self.lock();
+        self.mutate(|inner| {
             let prefix = format!("{}/", path.as_str());
             let mut doomed: Vec<ZnodePath> = inner
                 .nodes
@@ -676,182 +410,56 @@ impl Coord {
             for p in doomed {
                 inner.remove_node(&p);
             }
-        }
-        self.deliver();
-        Ok(())
-    }
-
-    /// The node's stat, or `None` if it does not exist.
-    pub fn exists(&self, path: impl Into<ZnodePath>) -> Option<Stat> {
-        let path = path.into();
-        let inner = self.lock();
-        inner.nodes.get(&path).map(|n| inner.stat_of(n))
-    }
-
-    /// Names of the direct children of a znode, sorted.
-    pub fn children(&self, path: impl Into<ZnodePath>) -> Result<Vec<String>> {
-        let path = path.into();
-        let inner = self.lock();
-        Ok(inner.node(&path)?.children.iter().cloned().collect())
+            Ok(())
+        })
     }
 
     // ------------------------------------------------------------ watches
 
-    fn register_watch(&self, watch: Watch, require_node: bool) -> Result<WatchId> {
-        let mut inner = self.lock();
-        if require_node {
-            inner.node(&watch.path)?;
-        }
-        inner.next_watch += 1;
-        let id = WatchId(inner.next_watch);
-        inner.counters.watches_registered += 1;
-        inner.watches.insert(id, watch);
-        Ok(id)
-    }
-
-    /// One-shot watch on a node's data, delivered to the session's queue.
-    pub fn watch_data(&self, session: SessionId, path: impl Into<ZnodePath>) -> Result<WatchId> {
-        self.session_watch(session, path.into(), WatchKind::Data, true)
-    }
-
-    /// One-shot watch on a node's children, delivered to the session's queue.
-    pub fn watch_children(
-        &self,
-        session: SessionId,
-        path: impl Into<ZnodePath>,
-    ) -> Result<WatchId> {
-        self.session_watch(session, path.into(), WatchKind::Children, true)
-    }
-
-    /// One-shot existence watch (the node need not exist yet), delivered to
-    /// the session's queue.
-    pub fn watch_exists(&self, session: SessionId, path: impl Into<ZnodePath>) -> Result<WatchId> {
-        self.session_watch(session, path.into(), WatchKind::Exists, false)
-    }
-
-    fn session_watch(
-        &self,
-        session: SessionId,
-        path: ZnodePath,
-        kind: WatchKind,
-        require_node: bool,
-    ) -> Result<WatchId> {
-        if !self.session_alive(session) {
-            return Err(CoordError::NoSession(session));
-        }
-        self.register_watch(
-            Watch {
-                path,
-                kind,
-                delivery: Delivery::Session(session),
-            },
-            require_node,
-        )
-    }
-
-    /// One-shot data watch invoking `callback` on delivery.
-    pub fn watch_data_cb(
+    /// Arm a one-shot watch that runs `callback` when the node at `path` is
+    /// deleted — by [`Coord::delete_recursive`] or by its session ending.
+    /// Data writes never fire or consume it. Returns `false`, arming
+    /// nothing, if the node does not exist: the check and the arming are
+    /// atomic, so a caller that sees `true` is guaranteed its callback.
+    ///
+    /// The callback runs on the deleting thread with no internal lock held,
+    /// so it may call back into the service.
+    pub fn watch_deleted(
         &self,
         path: impl Into<ZnodePath>,
-        callback: impl Fn(WatchEvent) + Send + Sync + 'static,
-    ) -> Result<WatchId> {
-        self.register_watch(
-            Watch {
-                path: path.into(),
-                kind: WatchKind::Data,
-                delivery: Delivery::Callback(Arc::new(callback)),
-            },
-            true,
-        )
-    }
-
-    /// One-shot children watch invoking `callback` on delivery.
-    pub fn watch_children_cb(
-        &self,
-        path: impl Into<ZnodePath>,
-        callback: impl Fn(WatchEvent) + Send + Sync + 'static,
-    ) -> Result<WatchId> {
-        self.register_watch(
-            Watch {
-                path: path.into(),
-                kind: WatchKind::Children,
-                delivery: Delivery::Callback(Arc::new(callback)),
-            },
-            true,
-        )
-    }
-
-    /// One-shot existence watch invoking `callback` on delivery; returns the
-    /// watch id plus the node's stat at registration time (atomically), so
-    /// callers can act on "did it exist when I armed the watch".
-    pub fn watch_exists_cb(
-        &self,
-        path: impl Into<ZnodePath>,
-        callback: impl Fn(WatchEvent) + Send + Sync + 'static,
-    ) -> (WatchId, Option<Stat>) {
+        callback: impl FnOnce() + Send + 'static,
+    ) -> bool {
         let path: ZnodePath = path.into();
         let mut inner = self.lock();
-        let stat = inner.nodes.get(&path).map(|n| inner.stat_of(n));
-        inner.next_watch += 1;
-        let id = WatchId(inner.next_watch);
+        if !inner.nodes.contains_key(&path) {
+            return false;
+        }
         inner.counters.watches_registered += 1;
-        inner.watches.insert(
-            id,
-            Watch {
-                path,
-                kind: WatchKind::Exists,
-                delivery: Delivery::Callback(Arc::new(callback)),
-            },
-        );
-        (id, stat)
+        inner
+            .watches
+            .entry(path)
+            .or_default()
+            .push(Box::new(callback));
+        true
     }
 
-    /// Cancel a registered watch before it fires. Returns whether it was
-    /// still registered.
-    pub fn cancel_watch(&self, id: WatchId) -> bool {
-        self.lock().watches.remove(&id).is_some()
-    }
-
-    /// Drain the queued watch events for a session, in delivery order.
-    pub fn poll_events(&self, session: SessionId) -> Result<Vec<WatchEvent>> {
-        let mut inner = self.lock();
-        let s = inner
-            .sessions
-            .get_mut(&session)
-            .ok_or(CoordError::NoSession(session))?;
-        Ok(s.events.drain(..).collect())
-    }
-
-    /// Deliver queued events in order. Exactly one thread drains at a time;
-    /// callbacks run without internal locks held, so they may freely call
-    /// back into the service (nested mutations enqueue and are picked up by
-    /// the same drain).
+    /// Run fired watch callbacks in order. Exactly one thread drains at a
+    /// time; callbacks run without internal locks held, so they may freely
+    /// call back into the service (nested deletions enqueue and are picked
+    /// up by the same drain).
     fn deliver(&self) {
         let mut inner = self.lock();
         if inner.delivering {
             return;
         }
         inner.delivering = true;
-        loop {
-            if inner.paused || inner.queue.is_empty() {
-                inner.delivering = false;
-                return;
-            }
-            let (delivery, event) = inner.queue.pop_front().expect("checked non-empty");
+        while let Some(callback) = inner.queue.pop_front() {
             inner.counters.watches_fired += 1;
-            match delivery {
-                Delivery::Session(sid) => {
-                    if let Some(session) = inner.sessions.get_mut(&sid) {
-                        session.events.push_back(event);
-                    }
-                }
-                Delivery::Callback(cb) => {
-                    drop(inner);
-                    cb(event);
-                    inner = self.lock();
-                }
-            }
+            drop(inner);
+            callback();
+            inner = self.lock();
         }
+        inner.delivering = false;
     }
 
     // ------------------------------------------------------------ metrics
@@ -868,18 +476,17 @@ impl Coord {
             watches_registered: inner.counters.watches_registered,
             watches_fired: inner.counters.watches_fired,
             ephemerals_reaped: inner.counters.ephemerals_reaped,
-            pending_deliveries: inner.queue.len(),
         }
     }
 }
 
 impl std::fmt::Debug for Coord {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let m = self.metrics();
+        let inner = self.lock();
         f.debug_struct("Coord")
-            .field("znodes", &m.znodes)
-            .field("live_sessions", &m.live_sessions)
-            .field("now_ms", &self.now_ms())
+            .field("znodes", &inner.nodes.len())
+            .field("live_sessions", &inner.sessions.len())
+            .field("now_ms", &inner.now_ms)
             .finish()
     }
 }
@@ -889,84 +496,58 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A callback counting its runs into `fired`.
+    fn counter(fired: &Arc<AtomicUsize>) -> impl FnOnce() + Send + 'static {
+        let fired = fired.clone();
+        move || {
+            fired.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
     #[test]
     fn create_get_set_delete_roundtrip() {
         let c = Coord::new();
-        let p = c
-            .create(None, "/a/b", "v1", CreateMode::Persistent)
-            .unwrap();
-        assert_eq!(p.as_str(), "/a/b");
-        let (data, stat) = c.get("/a/b").unwrap();
-        assert_eq!(data, "v1");
-        assert_eq!(stat.version, 1);
-        assert_eq!(c.set("/a/b", "v2", None).unwrap(), 2);
+        c.upsert("/a/b", "v1").unwrap();
+        assert_eq!(c.get("/a/b").unwrap(), "v1");
+        c.upsert("/a/b", "v2").unwrap();
         assert_eq!(
-            c.get("/a//b").unwrap().0,
+            c.get("/a//b").unwrap(),
             "v2",
             "normalization: /a//b is /a/b"
         );
-        c.delete("/a/b", None).unwrap();
-        assert!(c.exists("/a/b").is_none());
+        c.delete_recursive("/a/b").unwrap();
+        assert!(!c.exists("/a/b"));
         // parent /a was auto-created and survives.
-        assert!(c.exists("/a").is_some());
+        assert!(c.exists("/a"));
     }
 
     #[test]
-    fn cas_set_enforces_version() {
+    fn root_is_read_only() {
         let c = Coord::new();
-        c.create(None, "/x", "0", CreateMode::Persistent).unwrap();
-        assert_eq!(c.set("/x", "1", Some(1)).unwrap(), 2);
-        assert!(matches!(
-            c.set("/x", "stale", Some(1)),
-            Err(CoordError::BadVersion {
-                expected: 1,
-                actual: 2,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn delete_refuses_non_empty() {
-        let c = Coord::new();
-        c.create(None, "/a/b", "", CreateMode::Persistent).unwrap();
-        assert!(matches!(c.delete("/a", None), Err(CoordError::NotEmpty(_))));
-        c.delete_recursive("/a").unwrap();
-        assert!(c.exists("/a").is_none());
-        assert!(c.exists("/a/b").is_none());
-    }
-
-    #[test]
-    fn sequential_nodes_get_increasing_suffixes() {
-        let c = Coord::new();
-        let p1 = c
-            .create(None, "/q/item-", "", CreateMode::PersistentSequential)
-            .unwrap();
-        let p2 = c
-            .create(None, "/q/item-", "", CreateMode::PersistentSequential)
-            .unwrap();
-        assert_eq!(p1.as_str(), "/q/item-0000000001");
-        assert_eq!(p2.as_str(), "/q/item-0000000002");
-        // Deleting does not reset the counter.
-        c.delete(p1, None).unwrap();
-        let p3 = c
-            .create(None, "/q/item-", "", CreateMode::PersistentSequential)
-            .unwrap();
-        assert_eq!(p3.as_str(), "/q/item-0000000003");
+        let s = c.create_session(1_000);
+        assert_eq!(c.upsert("/", "x"), Err(CoordError::RootReadOnly));
+        assert_eq!(
+            c.create_ephemeral(s, "//", "x"),
+            Err(CoordError::RootReadOnly)
+        );
+        assert_eq!(c.delete_recursive("/"), Err(CoordError::RootReadOnly));
     }
 
     #[test]
     fn ephemeral_needs_session_and_dies_with_it() {
         let c = Coord::new();
-        assert!(matches!(
-            c.create(None, "/e", "", CreateMode::Ephemeral),
-            Err(CoordError::EphemeralNeedsSession(_))
-        ));
+        assert_eq!(
+            c.create_ephemeral(SessionId(99), "/e", ""),
+            Err(CoordError::NoSession(SessionId(99)))
+        );
+        assert!(!c.exists("/e"));
         let s = c.create_session(1_000);
-        c.create(Some(s), "/live/e1", "", CreateMode::Ephemeral)
-            .unwrap();
-        c.create(Some(s), "/live/e2", "", CreateMode::Ephemeral)
-            .unwrap();
+        c.create_ephemeral(s, "/live/e1", "").unwrap();
+        c.create_ephemeral(s, "/live/e2", "").unwrap();
+        assert!(matches!(
+            c.create_ephemeral(s, "/live/e2", ""),
+            Err(CoordError::NodeExists(_))
+        ));
         assert_eq!(c.children("/live").unwrap(), vec!["e1", "e2"]);
         c.close_session(s).unwrap();
         assert_eq!(c.children("/live").unwrap(), Vec::<String>::new());
@@ -977,25 +558,30 @@ mod tests {
     fn ephemerals_cannot_have_children() {
         let c = Coord::new();
         let s = c.create_session(1_000);
-        c.create(Some(s), "/e", "", CreateMode::Ephemeral).unwrap();
+        c.create_ephemeral(s, "/e", "").unwrap();
         assert!(matches!(
-            c.create(None, "/e/child", "", CreateMode::Persistent),
+            c.upsert("/e/child", ""),
             Err(CoordError::NoChildrenForEphemerals(_))
         ));
+        assert!(matches!(
+            c.create_ephemeral(s, "/e/child/grandchild", ""),
+            Err(CoordError::NoChildrenForEphemerals(_))
+        ));
+        assert!(!c.exists("/e/child"), "a refused create leaves no parents");
     }
 
     #[test]
     fn session_expires_without_heartbeat() {
         let c = Coord::new();
         let s = c.create_session(1_000);
-        c.create(Some(s), "/e", "", CreateMode::Ephemeral).unwrap();
+        c.create_ephemeral(s, "/e", "").unwrap();
         c.advance(900);
         c.heartbeat(s).unwrap();
         c.advance(900);
         assert!(c.session_alive(s), "heartbeat kept it alive");
         c.advance(1_001);
         assert!(!c.session_alive(s));
-        assert!(c.exists("/e").is_none(), "ephemeral reaped on expiry");
+        assert!(!c.exists("/e"), "ephemeral reaped on expiry");
         assert!(matches!(c.heartbeat(s), Err(CoordError::NoSession(_))));
         let m = c.metrics();
         assert_eq!(m.sessions_expired, 1);
@@ -1014,130 +600,79 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_data_watch_fires_once_in_session_queue() {
-        let c = Coord::new();
-        let s = c.create_session(10_000);
-        c.create(None, "/w", "0", CreateMode::Persistent).unwrap();
-        c.watch_data(s, "/w").unwrap();
-        c.set("/w", "1", None).unwrap();
-        c.set("/w", "2", None).unwrap(); // no watch armed any more
-        let events = c.poll_events(s).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::NodeDataChanged);
-        assert_eq!(events[0].path.as_str(), "/w");
-        assert!(c.poll_events(s).unwrap().is_empty());
-    }
-
-    #[test]
-    fn children_watch_sees_create_and_delete() {
-        let c = Coord::new();
-        let s = c.create_session(10_000);
-        c.create(None, "/d", "", CreateMode::Persistent).unwrap();
-        c.watch_children(s, "/d").unwrap();
-        c.create(None, "/d/k", "", CreateMode::Persistent).unwrap();
-        c.watch_children(s, "/d").unwrap();
-        c.delete("/d/k", None).unwrap();
-        let events = c.poll_events(s).unwrap();
-        assert_eq!(
-            events.iter().map(|e| e.kind).collect::<Vec<_>>(),
-            vec![
-                EventKind::NodeChildrenChanged,
-                EventKind::NodeChildrenChanged
-            ]
-        );
-    }
-
-    #[test]
-    fn exists_watch_fires_on_creation() {
-        let c = Coord::new();
-        let s = c.create_session(10_000);
-        c.watch_exists(s, "/later").unwrap();
-        c.create(None, "/later", "", CreateMode::Persistent)
-            .unwrap();
-        let events = c.poll_events(s).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::NodeCreated);
-    }
-
-    #[test]
     fn callback_watch_runs_and_may_rearm() {
         let c = Coord::new();
-        c.create(None, "/cb", "0", CreateMode::Persistent).unwrap();
+        c.upsert("/cb", "0").unwrap();
         let fired = Arc::new(AtomicUsize::new(0));
-        let fired2 = fired.clone();
+        let count = counter(&fired);
         let c2 = c.clone();
-        c.watch_data_cb("/cb", move |_| {
-            fired2.fetch_add(1, Ordering::SeqCst);
+        assert!(c.watch_deleted("/cb", move || {
+            count();
             // Nested mutation from inside a callback must not deadlock.
-            let _ = c2.upsert("/cb-echo", "x");
-        })
-        .unwrap();
-        c.set("/cb", "1", None).unwrap();
+            c2.upsert("/cb-echo", "x").unwrap();
+        }));
+        c.delete_recursive("/cb").unwrap();
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert!(c.exists("/cb-echo").is_some());
-        c.set("/cb", "2", None).unwrap();
+        assert!(c.exists("/cb-echo"));
+        c.upsert("/cb", "1").unwrap();
+        c.delete_recursive("/cb").unwrap();
         assert_eq!(fired.load(Ordering::SeqCst), 1, "one-shot");
     }
 
     #[test]
-    fn paused_delivery_holds_events_in_order() {
+    fn watch_deleted_on_absent_node_arms_nothing() {
         let c = Coord::new();
-        let s = c.create_session(10_000);
-        c.create(None, "/p", "0", CreateMode::Persistent).unwrap();
-        c.pause_delivery();
-        c.watch_data(s, "/p").unwrap();
-        c.set("/p", "1", None).unwrap();
-        c.watch_data(s, "/p").unwrap();
-        c.set("/p", "2", None).unwrap();
-        assert!(c.poll_events(s).unwrap().is_empty(), "held while paused");
-        assert_eq!(c.metrics().pending_deliveries, 2);
-        c.resume_delivery();
-        let events = c.poll_events(s).unwrap();
-        assert_eq!(events.len(), 2);
+        let fired = Arc::new(AtomicUsize::new(0));
+        assert!(!c.watch_deleted("/later", counter(&fired)));
+        c.upsert("/later", "").unwrap();
+        c.delete_recursive("/later").unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 0, "no watch was armed");
+        assert_eq!(c.metrics().watches_registered, 0);
+    }
+
+    #[test]
+    fn writes_neither_fire_nor_consume_a_deletion_watch() {
+        let c = Coord::new();
+        c.upsert("/w", "0").unwrap();
+        let fired = Arc::new(AtomicUsize::new(0));
+        assert!(c.watch_deleted("/w", counter(&fired)));
+        c.upsert("/w", "1").unwrap();
+        c.upsert("/w/child", "").unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 0, "writes do not fire it");
+        c.delete_recursive("/w").unwrap();
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "the delete does, once");
+        assert_eq!(c.metrics().watches_fired, 1);
     }
 
     #[test]
     fn force_expire_reaps_and_counts() {
         let c = Coord::new();
         let s = c.create_session(60_000);
-        c.create(Some(s), "/f/e", "", CreateMode::Ephemeral)
-            .unwrap();
-        let watcher = c.create_session(60_000);
-        c.watch_exists(watcher, "/f/e").unwrap();
+        c.create_ephemeral(s, "/f/e", "").unwrap();
+        let fired = Arc::new(AtomicUsize::new(0));
+        assert!(c.watch_deleted("/f/e", counter(&fired)));
         c.force_expire(s).unwrap();
-        assert!(c.exists("/f/e").is_none());
-        let events = c.poll_events(watcher).unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::NodeDeleted);
+        assert!(!c.exists("/f/e"));
+        assert_eq!(fired.load(Ordering::SeqCst), 1);
         assert_eq!(c.metrics().sessions_expired, 1);
-    }
-
-    #[test]
-    fn watch_exists_cb_reports_stat_atomically() {
-        let c = Coord::new();
-        c.create(None, "/armed", "", CreateMode::Persistent)
-            .unwrap();
-        let (id, stat) = c.watch_exists_cb("/armed", |_| {});
-        assert!(stat.is_some());
-        assert!(c.cancel_watch(id));
-        assert!(!c.cancel_watch(id));
-        let (_, stat) = c.watch_exists_cb("/not-there", |_| {});
-        assert!(stat.is_none());
+        assert_eq!(c.force_expire(s), Err(CoordError::NoSession(s)));
     }
 
     #[test]
     fn upsert_creates_then_bumps() {
         let c = Coord::new();
-        assert_eq!(c.upsert("/u/v", "1").unwrap(), 1);
-        assert_eq!(c.upsert("/u/v", "2").unwrap(), 2);
-        assert_eq!(c.get("/u/v").unwrap().0, "2");
+        c.upsert("/u/v", "1").unwrap();
+        assert_eq!(c.get("/u/v").unwrap(), "1");
+        c.upsert("/u/v", "2").unwrap();
+        assert_eq!(c.get("/u/v").unwrap(), "2");
+        assert_eq!(c.metrics().znodes, 3, "root + /u + /u/v");
     }
 
     #[test]
     fn metrics_snapshot_counts() {
         let c = Coord::new();
         assert_eq!(c.metrics().znodes, 1, "root only");
-        c.create(None, "/m/a", "", CreateMode::Persistent).unwrap();
+        c.upsert("/m/a", "").unwrap();
         assert_eq!(c.metrics().znodes, 3, "root + /m + /m/a");
         let _s = c.create_session(1_000);
         assert_eq!(c.metrics().live_sessions, 1);

@@ -1,180 +1,95 @@
 //! Property-style tests for the coordination service.
 //!
 //! Each property runs many randomized trials drawn from a seeded
-//! `samzasql_testkit::Rng` (deterministic across runs), several of them
-//! with real thread interleaving on the shared service.
+//! `samzasql_testkit::Rng` (deterministic across runs), one of them with
+//! real thread interleaving on the shared service.
 
-use samzasql_coord::{Coord, CoordError, CreateMode, EventKind};
+use samzasql_coord::Coord;
 use samzasql_testkit::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
-/// Property: a znode's version increases by exactly one per successful write,
-/// and is never observed to move backwards — even with writers racing on the
-/// same paths from multiple threads.
-#[test]
-fn versions_are_monotonic_per_path() {
-    let coord = Coord::new();
-    let paths: Vec<String> = (0..4).map(|i| format!("/prop/v{i}")).collect();
-    for p in &paths {
-        coord
-            .create(None, p.as_str(), "0", CreateMode::Persistent)
-            .unwrap();
-    }
-
-    let handles: Vec<_> = (0..4u64)
-        .map(|t| {
-            let coord = coord.clone();
-            let paths = paths.clone();
-            thread::spawn(move || {
-                let mut rng = Rng::new(t);
-                let mut observed: Vec<Vec<u64>> = vec![Vec::new(); paths.len()];
-                for i in 0..200 {
-                    let pi = rng.gen_range(0..paths.len());
-                    let path = paths[pi].as_str();
-                    match rng.gen_range(0..3) {
-                        0 => {
-                            let v = coord.set(path, format!("t{t}-{i}"), None).unwrap();
-                            observed[pi].push(v);
-                        }
-                        1 => {
-                            // CAS from a freshly-read version: may lose races,
-                            // but a success must land on expected + 1.
-                            let (_, stat) = coord.get(path).unwrap();
-                            match coord.set(path, format!("cas{t}-{i}"), Some(stat.version)) {
-                                Ok(v) => {
-                                    assert_eq!(v, stat.version + 1);
-                                    observed[pi].push(v);
-                                }
-                                Err(CoordError::BadVersion {
-                                    expected, actual, ..
-                                }) => {
-                                    assert!(actual > expected, "version moved backwards");
-                                }
-                                Err(e) => panic!("unexpected error: {e}"),
-                            }
-                        }
-                        _ => {
-                            let (_, stat) = coord.get(path).unwrap();
-                            observed[pi].push(stat.version);
-                        }
-                    }
-                }
-                observed
-            })
-        })
-        .collect();
-
-    let per_thread: Vec<Vec<Vec<u64>>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    // Within one thread's timeline, versions of a given path never decrease.
-    for observed in &per_thread {
-        for versions in observed {
-            for pair in versions.windows(2) {
-                assert!(
-                    pair[0] <= pair[1],
-                    "observed regression: {} -> {}",
-                    pair[0],
-                    pair[1]
-                );
-            }
-        }
-    }
-    // Globally: every successful write got a distinct version (no two writes
-    // share one), so the final version equals 1 + number of successful sets.
-    for (pi, p) in paths.iter().enumerate() {
-        let writes: Vec<u64> = per_thread
-            .iter()
-            .flat_map(|obs| obs[pi].iter().copied())
-            .collect();
-        let final_version = coord.get(p.as_str()).unwrap().1.version;
-        assert!(writes.iter().all(|v| *v <= final_version));
-    }
-}
-
-/// Property: sequential creates under one parent hand out strictly
-/// increasing, gap-free-from-the-service's-view suffixes, even when issued
-/// concurrently; all resulting names are distinct.
-#[test]
-fn sequential_suffixes_strictly_increase_under_concurrency() {
-    let coord = Coord::new();
-    coord
-        .create(None, "/seq", "", CreateMode::Persistent)
-        .unwrap();
-
-    let handles: Vec<_> = (0..8)
-        .map(|_| {
-            let coord = coord.clone();
-            thread::spawn(move || {
-                (0..50)
-                    .map(|_| {
-                        coord
-                            .create(None, "/seq/n-", "", CreateMode::PersistentSequential)
-                            .unwrap()
-                            .as_str()
-                            .to_string()
-                    })
-                    .collect::<Vec<_>>()
-            })
-        })
-        .collect();
-
-    let mut all: Vec<String> = Vec::new();
-    for h in handles {
-        let own = h.join().unwrap();
-        // Each thread saw its own creations in strictly increasing order.
-        for pair in own.windows(2) {
-            assert!(
-                pair[0] < pair[1],
-                "per-thread order violated: {} then {}",
-                pair[0],
-                pair[1]
-            );
-        }
-        all.extend(own);
-    }
-    assert_eq!(all.len(), 400);
-    all.sort();
-    all.dedup();
-    assert_eq!(all.len(), 400, "duplicate sequential names handed out");
-    // The service handed out exactly suffixes 1..=400.
-    assert_eq!(all.first().map(String::as_str), Some("/seq/n-0000000001"));
-    assert_eq!(all.last().map(String::as_str), Some("/seq/n-0000000400"));
-}
-
-/// Property: a one-shot watch fires exactly once no matter how many
-/// subsequent changes hit the node, across randomized op sequences.
+/// Property: a deletion watch fires exactly once — on the deletion, never on
+/// the writes before it, and not again when the node is re-created and
+/// deleted — across randomized op sequences.
 #[test]
 fn one_shot_watches_fire_exactly_once() {
     let mut rng = Rng::new(42);
     for trial in 0..50 {
         let coord = Coord::new();
         let path = format!("/w/{trial}");
-        coord
-            .create(None, path.as_str(), "0", CreateMode::Persistent)
-            .unwrap();
+        coord.upsert(path.as_str(), "0").unwrap();
         let fired = Arc::new(AtomicUsize::new(0));
         let fired2 = fired.clone();
-        coord
-            .watch_data_cb(path.as_str(), move |_| {
-                fired2.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
+        assert!(coord.watch_deleted(path.as_str(), move || {
+            fired2.fetch_add(1, Ordering::SeqCst);
+        }));
 
-        let mutations = 1 + rng.gen_range(0..10);
-        for i in 0..mutations {
-            if rng.gen_range(0..4) == 0 && i + 1 == mutations {
-                coord.delete(path.as_str(), None).unwrap();
-            } else {
-                coord.set(path.as_str(), format!("{i}"), None).unwrap();
-            }
+        let writes = rng.gen_range(0..10);
+        for i in 0..writes {
+            coord.upsert(path.as_str(), format!("{i}")).unwrap();
+        }
+        assert_eq!(
+            fired.load(Ordering::SeqCst),
+            0,
+            "trial {trial}: a write fired it"
+        );
+        let deletions = 1 + rng.gen_range(0..3);
+        for _ in 0..deletions {
+            coord.upsert(path.as_str(), "again").unwrap();
+            coord.delete_recursive(path.as_str()).unwrap();
         }
         assert_eq!(
             fired.load(Ordering::SeqCst),
             1,
-            "trial {trial}: one-shot watch fired more (or less) than once over {mutations} mutations"
+            "trial {trial}: one-shot watch fired more (or less) than once over \
+             {writes} writes and {deletions} deletions"
         );
     }
+}
+
+/// Property: with threads racing to create, watch and delete the same few
+/// nodes, every armed watch fires exactly once: a callback queued while
+/// another thread is delivering is run by that thread's drain.
+#[test]
+fn racing_deleters_fire_every_armed_watch_once() {
+    let coord = Coord::new();
+    let armed = Arc::new(AtomicUsize::new(0));
+    let fired = Arc::new(AtomicUsize::new(0));
+    let handles: Vec<_> = (0..4u64)
+        .map(|t| {
+            let (coord, armed, fired) = (coord.clone(), armed.clone(), fired.clone());
+            thread::spawn(move || {
+                let mut rng = Rng::new(t);
+                for _ in 0..300 {
+                    let path = format!("/race/n{}", rng.gen_range(0..4));
+                    match rng.gen_range(0..3) {
+                        0 => coord.upsert(path.as_str(), "").unwrap(),
+                        1 => {
+                            let fired = fired.clone();
+                            if coord.watch_deleted(path.as_str(), move || {
+                                fired.fetch_add(1, Ordering::SeqCst);
+                            }) {
+                                armed.fetch_add(1, Ordering::SeqCst);
+                            }
+                        }
+                        _ => coord.delete_recursive(path.as_str()).unwrap(),
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    coord.delete_recursive("/race").unwrap();
+    assert!(armed.load(Ordering::SeqCst) > 0);
+    assert_eq!(fired.load(Ordering::SeqCst), armed.load(Ordering::SeqCst));
+    assert_eq!(
+        coord.metrics().watches_fired,
+        armed.load(Ordering::SeqCst) as u64
+    );
 }
 
 /// Property: when a session ends — by timeout, force-expiry, or graceful
@@ -191,7 +106,7 @@ fn session_end_reaps_exactly_its_ephemerals() {
             let si = rng.gen_range(0..sessions.len());
             let path = format!("/eph/s{si}-n{i}");
             coord
-                .create(Some(sessions[si]), path.as_str(), "", CreateMode::Ephemeral)
+                .create_ephemeral(sessions[si], path.as_str(), "")
                 .unwrap();
             owned[si].push(path);
         }
@@ -228,49 +143,59 @@ fn session_end_reaps_exactly_its_ephemerals() {
 
         for (si, paths) in owned.iter().enumerate() {
             for path in paths {
-                let node = coord.exists(path.as_str());
-                if ended[si] {
-                    assert!(node.is_none(), "trial {trial}: {path} survived its session");
-                } else {
-                    assert!(
-                        node.is_some(),
-                        "trial {trial}: {path} lost while session alive"
-                    );
-                }
+                assert_eq!(
+                    coord.exists(path.as_str()),
+                    !ended[si],
+                    "trial {trial}: {path} outlived its session or died before it"
+                );
             }
             assert_eq!(coord.session_alive(sessions[si]), !ended[si]);
         }
     }
 }
 
-/// Property: watch events for one session arrive in the order the
-/// corresponding mutations were applied.
+/// Property: when a session owning several watched ephemerals expires,
+/// each of their callbacks fires exactly once, in deletion order (the
+/// session's ephemerals go in path order); watches on other sessions'
+/// nodes stay armed.
 #[test]
-fn session_events_arrive_in_mutation_order() {
-    let coord = Coord::new();
-    let session = coord.create_session(60_000);
-    coord
-        .create(None, "/ord", "", CreateMode::Persistent)
-        .unwrap();
-    let mut expected = Vec::new();
+fn session_expiry_fires_deletion_watches_in_deletion_order() {
     let mut rng = Rng::new(1234);
-    for i in 0..100 {
-        let path = format!("/ord/n{i}");
-        coord.watch_exists(session, path.as_str()).unwrap();
-        coord
-            .create(None, path.as_str(), "", CreateMode::Persistent)
-            .unwrap();
-        expected.push((path.clone(), EventKind::NodeCreated));
-        if rng.gen_range(0..2) == 0 {
-            coord.watch_data(session, path.as_str()).unwrap();
-            coord.set(path.as_str(), "x", None).unwrap();
-            expected.push((path, EventKind::NodeDataChanged));
+    for trial in 0..30 {
+        let coord = Coord::new();
+        let doomed = coord.create_session(1_000);
+        let survivor = coord.create_session(1_000);
+        let fired: Arc<Mutex<Vec<String>>> = Arc::default();
+        let mut expected = Vec::new();
+        for i in 0..rng.gen_range(2..20) {
+            let (session, path) = if rng.gen_bool(0.7) {
+                (doomed, format!("/live/d{i:02}"))
+            } else {
+                (survivor, format!("/live/s{i:02}"))
+            };
+            coord.create_ephemeral(session, path.as_str(), "").unwrap();
+            if rng.gen_bool(0.8) {
+                let (fired, name) = (fired.clone(), path.clone());
+                assert!(coord.watch_deleted(path.as_str(), move || {
+                    fired.lock().unwrap().push(name);
+                }));
+                if session == doomed {
+                    expected.push(path);
+                }
+            }
         }
+        expected.sort();
+
+        match rng.gen_range(0..2) {
+            0 => coord.force_expire(doomed).unwrap(),
+            _ => {
+                coord.advance(500);
+                coord.heartbeat(survivor).unwrap();
+                coord.advance(501);
+            }
+        }
+        assert!(!coord.session_alive(doomed));
+        assert!(coord.session_alive(survivor));
+        assert_eq!(*fired.lock().unwrap(), expected, "trial {trial}");
     }
-    let events = coord.poll_events(session).unwrap();
-    let got: Vec<(String, EventKind)> = events
-        .into_iter()
-        .map(|e| (e.path.as_str().to_string(), e.kind))
-        .collect();
-    assert_eq!(got, expected);
 }

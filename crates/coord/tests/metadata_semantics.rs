@@ -3,14 +3,14 @@
 //! the old `samzasql_samza::coordination::MetadataStore` shim and pin the
 //! behaviors its callers relied on, now expressed directly against `Coord`.
 
-use samzasql_coord::{Coord, CoordError, CreateMode};
+use samzasql_coord::{Coord, CoordError};
 
 #[test]
 fn set_get_normalizes_paths() {
     let c = Coord::new();
     c.upsert("jobs/q1/query", "SELECT 1").unwrap();
-    assert_eq!(c.get("/jobs/q1/query").unwrap().0, "SELECT 1");
-    assert_eq!(c.get("jobs/q1/query/").unwrap().0, "SELECT 1");
+    assert_eq!(c.get("/jobs/q1/query").unwrap(), "SELECT 1");
+    assert_eq!(c.get("jobs/q1/query/").unwrap(), "SELECT 1");
     assert!(matches!(c.get("missing"), Err(CoordError::NoNode(_))));
 }
 
@@ -20,36 +20,10 @@ fn interior_empty_segments_collapse() {
     // silently addressed a different entry than "/a/b".
     let c = Coord::new();
     c.upsert("/a/b", "v").unwrap();
-    assert_eq!(c.get("/a//b").unwrap().0, "v");
+    assert_eq!(c.get("/a//b").unwrap(), "v");
     c.upsert("/x//y", "w").unwrap();
-    assert_eq!(c.get("/x/y").unwrap().0, "w");
+    assert_eq!(c.get("/x/y").unwrap(), "w");
     assert_eq!(c.children("//x").unwrap(), vec!["y".to_string()]);
-}
-
-#[test]
-fn versions_increment() {
-    let c = Coord::new();
-    assert_eq!(c.upsert("/a", "1").unwrap(), 1);
-    assert_eq!(c.upsert("/a", "2").unwrap(), 2);
-    assert_eq!(c.get("/a").unwrap().1.version, 2);
-}
-
-#[test]
-fn compare_and_set_enforces_version() {
-    // CAS at "version 0" is a plain create; afterwards a versioned set only
-    // succeeds when the caller's expected version matches.
-    let c = Coord::new();
-    assert!(c.create(None, "/a", "init", CreateMode::Persistent).is_ok());
-    assert!(matches!(
-        c.create(None, "/a", "stale", CreateMode::Persistent),
-        Err(CoordError::NodeExists(_))
-    ));
-    assert!(matches!(
-        c.set("/a", "stale", Some(7)),
-        Err(CoordError::BadVersion { .. })
-    ));
-    assert!(c.set("/a", "next", Some(1)).is_ok());
-    assert_eq!(c.get("/a").unwrap().0, "next");
 }
 
 #[test]
@@ -74,10 +48,13 @@ fn children_lists_one_level() {
 fn delete_removes_entry() {
     let c = Coord::new();
     c.upsert("/a", "1").unwrap();
-    assert!(c.exists("/a").is_some());
+    c.upsert("/a/b/c", "2").unwrap();
+    assert!(c.exists("/a"));
     c.delete_recursive("/a").unwrap();
-    assert!(c.exists("/a").is_none());
+    assert!(!c.exists("/a"));
+    assert!(!c.exists("/a/b/c"), "the whole subtree goes");
     assert!(matches!(c.get("/a"), Err(CoordError::NoNode(_))));
+    c.delete_recursive("/a").unwrap(); // deleting an absent node is a no-op
 }
 
 #[test]
@@ -87,7 +64,7 @@ fn handles_share_one_tree() {
     let a = Coord::new();
     let b = a.clone();
     b.upsert("/shared/k", "v").unwrap();
-    assert_eq!(a.get("/shared/k").unwrap().0, "v");
+    assert_eq!(a.get("/shared/k").unwrap(), "v");
     a.upsert("/shared/k", "v2").unwrap();
-    assert_eq!(b.get("/shared/k").unwrap().0, "v2");
+    assert_eq!(b.get("/shared/k").unwrap(), "v2");
 }

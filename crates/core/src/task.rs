@@ -96,7 +96,6 @@ impl SamzaSqlTask {
         let sql = self
             .coord
             .get(format!("/samzasql/queries/{}/sql", self.job_name))
-            .map(|(value, _)| value)
             .map_err(|_| {
                 crate::error::CoreError::Shell(format!(
                     "coordination service has no query for job {}",

@@ -15,8 +15,9 @@ use std::time::{Duration, Instant};
 
 /// Shared handle to the in-process broker "cluster".
 ///
-/// Cloning is cheap (an `Arc`); every producer, consumer, container, and the
-/// query shell hold clones of the same broker.
+/// Cloning is cheap (an `Arc`); every container, the checkpoint manager,
+/// the stores' changelogs and the query shell hold clones of the same
+/// broker.
 #[derive(Clone)]
 pub struct Broker {
     inner: Arc<BrokerInner>,

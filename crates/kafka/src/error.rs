@@ -21,7 +21,7 @@ impl fmt::Display for FaultOp {
     }
 }
 
-/// Errors surfaced by broker, producer, and consumer operations.
+/// Errors surfaced by broker operations and the retry loops around them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KafkaError {
     /// The referenced topic does not exist on the broker.

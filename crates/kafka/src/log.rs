@@ -216,20 +216,6 @@ impl PartitionLog {
         })
     }
 
-    /// Find the earliest offset whose record timestamp is `>= ts`, mirroring
-    /// Kafka's `offsetsForTimes`. Returns the end offset if all records are
-    /// older.
-    pub fn offset_for_timestamp(&self, ts: i64) -> u64 {
-        for seg in &self.segments {
-            for rec in &seg.records {
-                if rec.timestamp >= ts {
-                    return rec.offset;
-                }
-            }
-        }
-        self.end_offset()
-    }
-
     fn enforce_retention(&mut self) {
         // Size-based: drop oldest whole segments while over budget, keeping
         // the active (last) segment.
@@ -407,18 +393,6 @@ mod tests {
         }
         // Newest append time is 35; cutoff 25 drops segments fully older.
         assert!(log.start_offset() > 0);
-    }
-
-    #[test]
-    fn offset_for_timestamp_finds_first_at_or_after() {
-        let mut log = log_with(4, 0);
-        for t in [10, 20, 30, 40] {
-            log.append(Message::new("x").at(t));
-        }
-        assert_eq!(log.offset_for_timestamp(0), 0);
-        assert_eq!(log.offset_for_timestamp(20), 1);
-        assert_eq!(log.offset_for_timestamp(25), 2);
-        assert_eq!(log.offset_for_timestamp(99), 4);
     }
 
     #[test]

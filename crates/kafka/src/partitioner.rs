@@ -1,54 +1,12 @@
-//! Producer-side partition selection.
+//! Key-hash partition placement.
 //!
 //! §3.1: "How a stream is partitioned is defined by the publisher at
-//! publishing time." The default mirrors Kafka: hash of the key when present,
-//! round-robin ("sticky-less") otherwise.
+//! publishing time." Every publisher in the stack — the container's output
+//! path, the shell and the benchmark loaders — places a keyed message on
+//! partition `hash_bytes(key) % partitions`, the Kafka default, which keeps
+//! co-partitioned joins aligned (§4.4).
 
-use crate::message::Message;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Strategy for mapping a message to a partition.
-#[derive(Debug)]
-pub enum Partitioner {
-    /// FNV-style hash of the key modulo partition count; keyless messages
-    /// fall back to round-robin. This is the Kafka default and what keeps
-    /// co-partitioned joins aligned (§4.4).
-    KeyHash { round_robin: AtomicU64 },
-    /// Strict round-robin regardless of key.
-    RoundRobin { counter: AtomicU64 },
-    /// Always the given partition.
-    Fixed(u32),
-}
-
-impl Partitioner {
-    pub fn key_hash() -> Self {
-        Partitioner::KeyHash {
-            round_robin: AtomicU64::new(0),
-        }
-    }
-
-    pub fn round_robin() -> Self {
-        Partitioner::RoundRobin {
-            counter: AtomicU64::new(0),
-        }
-    }
-
-    /// Choose the partition for `message` among `partitions` partitions.
-    pub fn partition(&self, message: &Message, partitions: u32) -> u32 {
-        debug_assert!(partitions > 0);
-        match self {
-            Partitioner::KeyHash { round_robin } => match &message.key {
-                Some(key) => hash_bytes(key) % partitions,
-                None => (round_robin.fetch_add(1, Ordering::Relaxed) % partitions as u64) as u32,
-            },
-            Partitioner::RoundRobin { counter } => {
-                (counter.fetch_add(1, Ordering::Relaxed) % partitions as u64) as u32
-            }
-            Partitioner::Fixed(p) => p % partitions,
-        }
-    }
-}
 
 /// Stable hash used for key partitioning. Uses the std `DefaultHasher` seeded
 /// deterministically so partition placement is reproducible across runs
@@ -65,44 +23,17 @@ mod tests {
 
     #[test]
     fn key_hash_is_deterministic() {
-        let p = Partitioner::key_hash();
-        let m = Message::keyed("product-17", "x");
-        let first = p.partition(&m, 32);
+        let first = hash_bytes(b"product-17") % 32;
         for _ in 0..10 {
-            assert_eq!(p.partition(&m, 32), first);
+            assert_eq!(hash_bytes(b"product-17") % 32, first);
         }
     }
 
     #[test]
-    fn keyless_messages_round_robin() {
-        let p = Partitioner::key_hash();
-        let m = Message::new("x");
-        let seq: Vec<u32> = (0..4).map(|_| p.partition(&m, 4)).collect();
-        assert_eq!(seq, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let p = Partitioner::round_robin();
-        let m = Message::keyed("ignored", "x");
-        let seq: Vec<u32> = (0..5).map(|_| p.partition(&m, 3)).collect();
-        assert_eq!(seq, vec![0, 1, 2, 0, 1]);
-    }
-
-    #[test]
-    fn fixed_clamps_to_partition_count() {
-        let p = Partitioner::Fixed(7);
-        let m = Message::new("x");
-        assert_eq!(p.partition(&m, 4), 3);
-    }
-
-    #[test]
     fn key_hash_spreads_keys() {
-        let p = Partitioner::key_hash();
         let mut seen = std::collections::HashSet::new();
         for i in 0..200 {
-            let m = Message::keyed(format!("key-{i}"), "x");
-            seen.insert(p.partition(&m, 16));
+            seen.insert(hash_bytes(format!("key-{i}").as_bytes()) % 16);
         }
         assert!(
             seen.len() >= 12,

@@ -1,11 +1,12 @@
 //! Bounded retry with exponential backoff and deterministic jitter.
 //!
-//! Every client of the broker — producers, consumers, the checkpoint
-//! manager, changelog flushes — routes its broker calls through a
-//! [`Retrier`], which retries errors that [`KafkaError::is_retriable`]
-//! classifies as transient. Retries are *bounded twice*: by an attempt cap
-//! and by a total backoff-time budget, so a permanently failing partition
-//! surfaces [`KafkaError::RetriesExhausted`] instead of hanging.
+//! Every client of the broker — a container's fetches and output flushes,
+//! the checkpoint manager, changelog flushes — routes its broker calls
+//! through a [`Retrier`], which retries errors that
+//! [`KafkaError::is_retriable`] classifies as transient. Retries are
+//! *bounded twice*: by an attempt cap and by a total backoff-time budget, so
+//! a permanently failing partition surfaces [`KafkaError::RetriesExhausted`]
+//! instead of hanging.
 //!
 //! Time is injectable through the [`Clock`] trait. The default
 //! [`VirtualClock`] advances a logical counter instead of sleeping, which
@@ -179,7 +180,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Retry instruments, cloneable so one bundle can span a container's
-/// producer, consumer, checkpoint, and changelog retriers. The container
+/// fetch, output, checkpoint, and changelog retriers. The container
 /// mints them under `kafka.retry.*` ([`RetryMetrics::new`]); `Default`
 /// gives unregistered handles to a retrier nobody publishes.
 #[derive(Debug, Clone, Default)]

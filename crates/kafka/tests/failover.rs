@@ -1,14 +1,17 @@
-//! Leader-failover and bounded-retry acceptance tests (ISSUE 4).
+//! Leader-failover and bounded-retry acceptance tests.
 //!
-//! * After `fail_leader()` mid-stream, no consumer ever observes a record
-//!   beyond the pre-failover committed offset, and producers resume after
+//! Every append and fetch goes straight to the [`Broker`] through a
+//! [`Retrier`], the way a container's output flush and fetch loop do.
+//!
+//! * After `fail_leader()` mid-stream, no reader ever observes a record
+//!   beyond the pre-failover committed offset, and appends resume after
 //!   the epoch bump via retries alone — no job restart, no reassignment.
 //! * A permanently failing partition surfaces a non-retriable error within
 //!   the configured attempt/budget limits instead of hanging.
 
 use samzasql_kafka::{
-    AckMode, Broker, Consumer, FaultInjector, FaultKind, FaultOp, FaultSchedule, FaultSpec,
-    KafkaError, Message, Producer, ReplicationConfig, Retrier, RetryPolicy, TopicConfig,
+    AckMode, Broker, FaultInjector, FaultKind, FaultOp, FaultSchedule, FaultSpec, KafkaError,
+    Message, Record, ReplicationConfig, Result, Retrier, RetryPolicy, TopicConfig,
 };
 
 /// A `kafka.broker.<name>` counter from the broker's registry.
@@ -34,24 +37,50 @@ fn replicated_topic(broker: &Broker, name: &str) {
         .unwrap();
 }
 
+/// Append `message` to `t`-0 through `retrier`; returns its offset.
+fn send(b: &Broker, retrier: &Retrier, message: Message) -> Result<u64> {
+    retrier.run(|| b.produce("t", 0, message.clone()))
+}
+
+/// Fetch up to `max` records of `t`-0 from `*position` through `retrier`,
+/// advancing the position past what came back. A fetch that still fails
+/// after its retries returns nothing, as the container's fetch loop does.
+fn poll(b: &Broker, retrier: &Retrier, position: &mut u64, max: usize) -> Vec<Record> {
+    match retrier.run(|| b.fetch("t", 0, *position, max)) {
+        Ok(fetched) => {
+            if let Some(last) = fetched.records.last() {
+                *position = last.offset + 1;
+            }
+            fetched.records
+        }
+        Err(_) => Vec::new(),
+    }
+}
+
 #[test]
 fn fetch_visibility_is_capped_at_high_watermark() {
     let b = Broker::new();
     replicated_topic(&b, "t");
-    let p = Producer::key_hash(b.clone());
+    let producer = Retrier::default();
     for i in 0..10u8 {
-        p.send_to("t", 0, Message::new(vec![i])).unwrap();
+        send(&b, &producer, Message::new(vec![i])).unwrap();
     }
     // No ticks yet: nothing is replicated, nothing is visible.
     assert_eq!(b.high_watermark("t", 0).unwrap(), 0);
-    let mut c = Consumer::new(b.clone());
-    c.assign("t", 0..1);
-    assert!(c.poll(100).is_empty(), "unreplicated records are invisible");
+    let consumer = Retrier::default();
+    let mut position = 0;
+    assert!(
+        poll(&b, &consumer, &mut position, 100).is_empty(),
+        "unreplicated records are invisible"
+    );
     // Two ticks replicate 8 records; exactly those become visible.
     b.replication_tick();
     b.replication_tick();
     assert_eq!(b.high_watermark("t", 0).unwrap(), 8);
-    let offsets: Vec<u64> = c.poll(100).iter().map(|r| r.offset).collect();
+    let offsets: Vec<u64> = poll(&b, &consumer, &mut position, 100)
+        .iter()
+        .map(|r| r.offset)
+        .collect();
     assert_eq!(offsets, (0..8).collect::<Vec<u64>>());
 }
 
@@ -59,17 +88,21 @@ fn fetch_visibility_is_capped_at_high_watermark() {
 fn leader_failover_loses_only_unreplicated_records_and_producers_resume() {
     let b = Broker::new();
     replicated_topic(&b, "t");
-    let p = Producer::key_hash(b.clone());
-    let mut c = Consumer::new(b.clone());
-    c.assign("t", 0..1);
+    let producer = Retrier::default();
+    let consumer = Retrier::default();
+    let mut position = 0;
 
     let mut observed: Vec<u64> = Vec::new();
     for i in 0..20u8 {
-        p.send_to("t", 0, Message::new(vec![i])).unwrap();
+        send(&b, &producer, Message::new(vec![i])).unwrap();
     }
     b.replication_tick();
     b.replication_tick(); // followers at 8 of 20
-    observed.extend(c.poll(100).iter().map(|r| r.offset));
+    observed.extend(
+        poll(&b, &consumer, &mut position, 100)
+            .iter()
+            .map(|r| r.offset),
+    );
 
     let pre_committed = b.high_watermark("t", 0).unwrap();
     assert_eq!(pre_committed, 8);
@@ -89,10 +122,9 @@ fn leader_failover_loses_only_unreplicated_records_and_producers_resume() {
         "log truncates to the committed offset"
     );
 
-    // While the election is pending, a non-retrying producer sees the
+    // While the election is pending, a non-retrying append sees the
     // retriable LeaderNotAvailable carrying the new epoch.
-    let bare = Producer::key_hash(b.clone()).retry(Retrier::disabled());
-    match bare.send_to("t", 0, Message::new("x")) {
+    match send(&b, &Retrier::disabled(), Message::new("x")) {
         Err(KafkaError::LeaderNotAvailable {
             topic,
             partition,
@@ -103,19 +135,18 @@ fn leader_failover_loses_only_unreplicated_records_and_producers_resume() {
         other => panic!("expected LeaderNotAvailable, got {other:?}"),
     }
 
-    // The default producer rides the election out via retries alone.
-    let md = p.send_to("t", 0, Message::new("resumed")).unwrap();
+    // The default retrier rides the election out via retries alone.
+    let offset = send(&b, &producer, Message::new("resumed")).unwrap();
     assert_eq!(
-        md.offset, pre_committed,
+        offset, pre_committed,
         "new writes continue from the truncation point"
     );
-    assert!(p.retrier().metrics().retries.get() > 0);
+    assert!(producer.metrics().retries.get() > 0);
 
-    // The consumer (positioned at the old high watermark) keeps polling
+    // The reader (positioned at the old high watermark) keeps fetching
     // through the failover and sees the new record once it replicates.
     b.replication_tick();
-    let after: Vec<(u64, Vec<u8>)> = c
-        .poll(100)
+    let after: Vec<(u64, Vec<u8>)> = poll(&b, &consumer, &mut position, 100)
         .into_iter()
         .map(|r| (r.offset, r.message.value.to_vec()))
         .collect();
@@ -142,9 +173,9 @@ fn failover_without_in_sync_follower_is_refused() {
         }),
     )
     .unwrap();
-    let p = Producer::key_hash(b.clone());
+    let producer = Retrier::default();
     for i in 0..10u8 {
-        p.send_to("t", 0, Message::new(vec![i])).unwrap();
+        send(&b, &producer, Message::new(vec![i])).unwrap();
     }
     b.replication_tick(); // follower at 1, lag 9 > 2: ejected from ISR
     assert!(matches!(
@@ -153,21 +184,21 @@ fn failover_without_in_sync_follower_is_refused() {
     ));
     assert_eq!(b.leader_epoch("t", 0).unwrap(), 0);
     // The partition still serves traffic from the surviving leader.
-    assert!(p.send_to("t", 0, Message::new("still-up")).is_ok());
+    assert!(send(&b, &producer, Message::new("still-up")).is_ok());
 }
 
 #[test]
 fn acks_all_respects_min_isr_after_follower_failure() {
     let b = Broker::new();
     replicated_topic(&b, "t");
-    let p = Producer::key_hash(b.clone())
-        .acks(AckMode::All)
-        .retry(Retrier::disabled());
-    p.send_to("t", 0, Message::new("a")).unwrap();
+    let bare = Retrier::disabled();
+    let send_all =
+        |message: Message| bare.run(|| b.produce_with_acks("t", 0, message.clone(), AckMode::All));
+    send_all(Message::new("a")).unwrap();
     // Kill both followers: ISR falls to the leader alone, below min 2.
     b.fail_follower("t", 0, 0).unwrap();
     b.fail_follower("t", 0, 1).unwrap();
-    match p.send_to("t", 0, Message::new("b")) {
+    match send_all(Message::new("b")) {
         Err(KafkaError::NotEnoughReplicas { topic, partition }) => {
             assert_eq!((topic.as_str(), partition), ("t", 0));
         }
@@ -178,7 +209,7 @@ fn acks_all_respects_min_isr_after_follower_failure() {
     b.restore_follower("t", 0, 0).unwrap();
     b.replication_tick();
     assert!(broker_counter(&b, "isr_expands") >= 1);
-    p.send_to("t", 0, Message::new("c")).unwrap();
+    send_all(Message::new("c")).unwrap();
 }
 
 #[test]
@@ -192,23 +223,23 @@ fn permanently_failing_partition_surfaces_bounded_error() {
     )));
 
     let started = std::time::Instant::now();
-    let p = Producer::key_hash(b.clone());
-    match p.send_to("t", 0, Message::new("doomed")) {
+    let producer = Retrier::default();
+    match send(&b, &producer, Message::new("doomed")) {
         Err(KafkaError::RetriesExhausted { attempts, last }) => {
-            assert!(attempts <= p.retrier().policy().max_attempts);
+            assert!(attempts <= producer.policy().max_attempts);
             assert!(last.is_retriable(), "wrapped cause is the transient error");
             assert_eq!(last.topic_partition(), Some(("t", 0)));
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),
     }
-    assert_eq!(p.retrier().metrics().giveups.get(), 1);
+    assert_eq!(producer.metrics().giveups.get(), 1);
 
-    // Fetch side: the consumer's retrier gives up too and poll returns
+    // Fetch side: the reader's retrier gives up too and the fetch returns
     // empty rather than hanging.
-    let mut c = Consumer::new(b.clone());
-    c.assign("t", 0..1);
-    assert!(c.poll(10).is_empty());
-    assert_eq!(c.retrier().metrics().giveups.get(), 1);
+    let consumer = Retrier::default();
+    let mut position = 0;
+    assert!(poll(&b, &consumer, &mut position, 10).is_empty());
+    assert_eq!(consumer.metrics().giveups.get(), 1);
 
     // The virtual clock means "within budget" costs no wall time.
     assert!(
@@ -223,9 +254,9 @@ fn injected_fetch_window_heals_and_consumption_catches_up() {
     let b = Broker::new();
     b.create_topic("t", TopicConfig::with_partitions(1))
         .unwrap();
-    let p = Producer::key_hash(b.clone());
+    let producer = Retrier::default();
     for i in 0..50u8 {
-        p.send_to("t", 0, Message::new(vec![i])).unwrap();
+        send(&b, &producer, Message::new(vec![i])).unwrap();
     }
     // Fetches 0..5 on the partition fail; everything after succeeds.
     b.set_fault_injector(Some(FaultInjector::with_specs(
@@ -236,13 +267,74 @@ fn injected_fetch_window_heals_and_consumption_catches_up() {
         )
         .on_op(FaultOp::Fetch)],
     )));
-    let mut c = Consumer::new(b.clone()).retry(Retrier::new(
-        RetryPolicy::default_client().attempts(3), // too few for the window at first
-    ));
-    c.assign("t", 0..1);
+    // Too few attempts to outlast the window in one fetch at first.
+    let consumer = Retrier::new(RetryPolicy::default_client().attempts(3));
+    let mut position = 0;
     let mut got = Vec::new();
     for _ in 0..10 {
-        got.extend(c.poll(16).into_iter().map(|r| r.offset));
+        got.extend(
+            poll(&b, &consumer, &mut position, 16)
+                .into_iter()
+                .map(|r| r.offset),
+        );
     }
     assert_eq!(got, (0..50).collect::<Vec<u64>>(), "no loss, no duplicates");
+}
+
+#[test]
+fn send_rides_out_injected_transient_faults() {
+    let b = Broker::new();
+    b.create_topic("t", TopicConfig::with_partitions(1))
+        .unwrap();
+    // The first two produce attempts fail; the third succeeds.
+    b.set_fault_injector(Some(FaultInjector::with_specs(
+        9,
+        vec![FaultSpec::any(
+            FaultKind::TransientError,
+            FaultSchedule::Window { from: 0, count: 2 },
+        )
+        .on_op(FaultOp::Produce)],
+    )));
+    let producer = Retrier::default();
+    let offset = send(&b, &producer, Message::new("x")).unwrap();
+    assert_eq!(offset, 0, "no duplicate appends across retries");
+    assert_eq!(b.end_offset("t", 0).unwrap(), 1);
+    assert_eq!(producer.metrics().retries.get(), 2);
+    assert_eq!(broker_counter(&b, "faults_injected"), 2);
+
+    // With retries disabled the injected error surfaces verbatim.
+    b.set_fault_injector(Some(FaultInjector::with_specs(
+        9,
+        vec![FaultSpec::any(
+            FaultKind::TransientError,
+            FaultSchedule::Always,
+        )],
+    )));
+    assert!(matches!(
+        send(&b, &Retrier::disabled(), Message::new("y")),
+        Err(KafkaError::InjectedFault { .. })
+    ));
+}
+
+#[test]
+fn poll_retries_through_injected_fetch_faults() {
+    let b = Broker::new();
+    b.create_topic("t", TopicConfig::with_partitions(1))
+        .unwrap();
+    for i in 0..3u8 {
+        b.produce("t", 0, Message::new(vec![i])).unwrap();
+    }
+    b.set_fault_injector(Some(FaultInjector::with_specs(
+        4,
+        vec![FaultSpec::any(
+            FaultKind::TransientError,
+            FaultSchedule::Window { from: 0, count: 3 },
+        )
+        .on_op(FaultOp::Fetch)],
+    )));
+    let consumer = Retrier::default();
+    let mut position = 0;
+    let records = poll(&b, &consumer, &mut position, 10);
+    assert_eq!(records.len(), 3, "first three fetch attempts retried away");
+    assert!(consumer.metrics().retries.get() >= 3);
 }

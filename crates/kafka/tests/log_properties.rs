@@ -79,30 +79,3 @@ fn fetch_window_is_exact() {
         assert!(log.fetch(end + 1, 1).is_err(), "beyond end errors");
     });
 }
-
-/// offset_for_timestamp returns the first record at-or-after the probe
-/// timestamp, given monotone timestamps.
-#[test]
-fn offset_for_timestamp_is_lower_bound() {
-    cases(128, 3, |rng| {
-        let gaps: Vec<i64> = (0..rng.gen_range(1..100))
-            .map(|_| rng.gen_range(0i64..10))
-            .collect();
-        let probe = rng.gen_range(0i64..1_000);
-        let mut log = PartitionLog::new("t", 0, SegmentConfig::default());
-        let mut ts = 0;
-        let mut stamps = Vec::new();
-        for g in &gaps {
-            ts += g;
-            stamps.push(ts);
-            log.append(Message::new("x").at(ts));
-        }
-        let off = log.offset_for_timestamp(probe);
-        let expected = stamps
-            .iter()
-            .position(|t| *t >= probe)
-            .map(|i| i as u64)
-            .unwrap_or(stamps.len() as u64);
-        assert_eq!(off, expected);
-    });
-}

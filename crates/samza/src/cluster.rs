@@ -11,8 +11,8 @@
 //!
 //! **Liveness is coordination-driven.** Every container incarnation owns a
 //! coordination session (heartbeated from the container thread) and an
-//! ephemeral znode `/samza/jobs/<job>/containers/<id>`. The job's AM arms an
-//! existence watch on that node; when the session expires — crash,
+//! ephemeral znode `/samza/jobs/<job>/containers/<id>`. The job's AM arms a
+//! deletion watch on that node; when the session expires — crash,
 //! force-expiry, dropped heartbeats — the node vanishes, the watch fires,
 //! and the AM reschedules the container on a node with capacity. The
 //! replacement restores state from changelogs and resumes from the last
@@ -23,7 +23,7 @@ use crate::container::Container;
 use crate::coordinator::JobModel;
 use crate::error::{Result, SamzaError};
 use crate::task::TaskFactory;
-use samzasql_coord::{Coord, CoordError, CreateMode, EventKind, SessionId};
+use samzasql_coord::{Coord, CoordError, SessionId};
 use samzasql_kafka::Broker;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -243,8 +243,8 @@ impl ClusterSim {
             }
             st.jobs.insert(config.name.clone(), job);
         }
-        // Outside the cluster lock: creating znodes delivers watch events,
-        // and their callbacks may need that lock.
+        // Outside the cluster lock: a liveness node that is already gone is
+        // handled on this thread, and that handler takes the lock.
         for (container_id, session, generation) in registrations {
             self.register_liveness(&config.name, container_id, session, generation);
         }
@@ -339,7 +339,7 @@ impl ClusterSim {
     }
 
     /// Create the container's ephemeral liveness node and arm the AM's
-    /// existence watch on it. Must be called WITHOUT the cluster lock held.
+    /// deletion watch on it. Must be called WITHOUT the cluster lock held.
     fn register_liveness(
         &self,
         job_name: &str,
@@ -349,43 +349,30 @@ impl ClusterSim {
     ) {
         let path = Self::container_path(job_name, container_id);
         // The session may already be dead (e.g. force-expired immediately
-        // after launch); the watch below still catches the absent node.
-        let _ = self.coord.create(
-            Some(session),
-            path.as_str(),
-            generation.to_string(),
-            CreateMode::Ephemeral,
-        );
-        self.arm_liveness_watch(job_name, container_id);
-    }
-
-    /// Arm (or re-arm) the one-shot existence watch that turns an ephemeral
-    /// node's disappearance into a reschedule.
-    fn arm_liveness_watch(&self, job_name: &str, container_id: u32) {
-        let path = Self::container_path(job_name, container_id);
-        // The callback holds only a weak reference to the cluster state so a
+        // after launch); arming the watch below then finds the node absent.
+        let _ = self
+            .coord
+            .create_ephemeral(session, path.as_str(), generation.to_string());
+        // The watch turns the node's disappearance into a reschedule. Its
+        // callback holds only a weak reference to the cluster state so a
         // dropped cluster does not live on inside the coordination service.
         let weak: Weak<Mutex<ClusterState>> = Arc::downgrade(&self.inner);
         let broker = self.broker.clone();
         let coord = self.coord.clone();
         let job = job_name.to_string();
-        let (watch_id, stat) = self.coord.watch_exists_cb(path, move |event| {
-            if event.kind != EventKind::NodeDeleted {
-                return;
-            }
+        let armed = self.coord.watch_deleted(path, move || {
             let Some(inner) = weak.upgrade() else { return };
             let cluster = ClusterSim {
                 inner,
-                broker: broker.clone(),
-                coord: coord.clone(),
+                broker,
+                coord,
             };
             cluster.on_container_node_deleted(&job, container_id);
         });
-        if stat.is_none() {
+        if !armed {
             // The node vanished before the watch was armed (session expired
-            // in the creation window). The armed watch would only fire on a
-            // future re-creation; cancel it and handle the loss directly.
-            self.coord.cancel_watch(watch_id);
+            // in the creation window), so nothing will fire: handle the loss
+            // directly.
             self.on_container_node_deleted(job_name, container_id);
         }
     }

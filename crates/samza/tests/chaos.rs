@@ -12,7 +12,7 @@
 //! Reproduce a failing schedule with `CHAOS_SEED=<seed> cargo test -p
 //! samzasql-samza --test chaos`.
 
-use samzasql_kafka::{Broker, Message, Producer, ReplicationConfig, TopicConfig};
+use samzasql_kafka::{Broker, Message, ReplicationConfig, Retrier, TopicConfig};
 use samzasql_samza::{
     apply_fault, ChaosFault, ChaosScenario, ClusterSim, CommitPoint, Container,
     IncomingMessageEnvelope, InputStreamConfig, JobConfig, JobModel, MessageCollector, NodeConfig,
@@ -20,6 +20,7 @@ use samzasql_samza::{
     TaskContext, TaskCoordinator, TaskFactory,
 };
 use samzasql_serde::SerdeFormat;
+use samzasql_testkit::wait_until_reporting;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -337,7 +338,8 @@ fn run_shape(
     let job = format!("{shape:?}-{seed}-{mode}").to_lowercase();
     let handle = cluster.submit(shape.config(&job), shape.factory()).unwrap();
 
-    let producer = Producer::key_hash(broker.clone());
+    // Input appends ride out injected faults and leader elections.
+    let retrier = Retrier::default();
     let inputs = shape.inputs();
     let no_events = [];
     let events = scenario.map_or(&no_events[..], |s| &s.events[..]);
@@ -361,8 +363,9 @@ fn run_shape(
         if produced < PER_PART {
             for i in produced..(produced + CHUNK).min(PER_PART) {
                 for p in 0..PARTITIONS {
-                    producer
-                        .send_to(shape.stream_topic(), p, Message::new(shape.payload(p, i)))
+                    let message = Message::new(shape.payload(p, i));
+                    retrier
+                        .run(|| broker.produce(shape.stream_topic(), p, message.clone()))
                         .unwrap();
                 }
             }
@@ -730,16 +733,18 @@ fn task_error_crashes_container_and_am_respawns_it() {
             .produce("in", 0, Message::new(i.to_string()))
             .unwrap();
     }
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while dedup_output(&broker).len() < 50 {
-        assert!(
-            Instant::now() < deadline,
-            "respawned container must finish the job; generation {:?}, output {}",
-            cluster.container_generation("failonce", 0),
-            dedup_output(&broker).len()
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    wait_until_reporting(
+        "the respawned container to finish the job",
+        Duration::from_secs(30),
+        || dedup_output(&broker).len() >= 50,
+        || {
+            format!(
+                ": generation {:?}, output {}",
+                cluster.container_generation("failonce", 0),
+                dedup_output(&broker).len()
+            )
+        },
+    );
     assert!(tripped.load(Ordering::SeqCst));
     assert!(
         cluster.container_generation("failonce", 0).unwrap() >= 1,

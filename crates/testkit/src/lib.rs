@@ -10,7 +10,9 @@
 //!   its own seed. When a case panics, the runner's panic names the case
 //!   index and the case seed, and `Rng::new(seed)` replays that one case.
 //!   There is no shrinking: a failing case is reported as drawn.
-//! * [`wait_until`] — the one condition wait the concurrent tests use.
+//! * [`wait_until`] — the one condition wait the concurrent tests use;
+//!   [`wait_until_reporting`] also says how far the wait got when it times
+//!   out.
 
 use std::ops::{Range, RangeInclusive};
 use std::panic::{self, AssertUnwindSafe};
@@ -148,13 +150,26 @@ pub fn cases(n: u32, seed: u64, mut property: impl FnMut(&mut Rng)) {
 /// Poll `cond` until it holds. Panics naming `what` once `timeout` has
 /// passed: the deadline only turns a hang into a failure. The caller sleeps
 /// 1 ms between polls, leaving the cores to the threads it waits on.
-pub fn wait_until(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
+pub fn wait_until(what: &str, timeout: Duration, cond: impl FnMut() -> bool) {
+    wait_until_reporting(what, timeout, cond, String::new);
+}
+
+/// [`wait_until`], whose timeout panic ends with `progress()`, read at the
+/// deadline — e.g. `": output 12 of 50"`.
+pub fn wait_until_reporting(
+    what: &str,
+    timeout: Duration,
+    mut cond: impl FnMut() -> bool,
+    progress: impl FnOnce() -> String,
+) {
     let deadline = Instant::now() + timeout;
     while !cond() {
-        assert!(
-            Instant::now() < deadline,
-            "timed out after {timeout:?} waiting for {what}"
-        );
+        if Instant::now() >= deadline {
+            panic!(
+                "timed out after {timeout:?} waiting for {what}{}",
+                progress()
+            );
+        }
         std::thread::sleep(Duration::from_millis(1));
     }
 }

@@ -15,8 +15,10 @@
 //! | [`samza`] | `samzasql-samza` | stream tasks, containers, local state, cluster sim |
 //! | [`parser`] | `samzasql-parser` | SQL + streaming extensions (STREAM, TUMBLE/HOP, OVER) |
 //! | [`planner`] | `samzasql-planner` | catalog, validator, optimizer, physical plans |
-//! | [`coord`] | `samzasql-coord` | ZooKeeper-style coordination: znodes, sessions, watches |
+//! | [`coord`] | `samzasql-coord` | ZooKeeper-style metadata and liveness: znodes, sessions, ephemeral nodes, deletion watches |
 //! | [`core`] | `samzasql-core` | operators, message router, shell — the paper's contribution |
+//! | [`analyze`] | `samzasql-analyze` | static plan analysis gating job submission |
+//! | [`obs`] | `samzasql-obs` | metrics registry, tracing spans, exporters |
 //! | [`workload`] | `samzasql-workload` | synthetic evaluation workloads |
 //!
 //! ## Quick start
@@ -63,7 +65,7 @@ pub use samzasql_workload as workload;
 
 /// The items most applications need.
 pub mod prelude {
-    pub use samzasql_coord::{Coord, CreateMode, ManualClock};
+    pub use samzasql_coord::Coord;
     pub use samzasql_core::shell::{QueryHandle, SamzaSqlShell};
     pub use samzasql_core::udaf::{UdafRegistry, UserAggregate};
     pub use samzasql_kafka::{Broker, Message, TopicConfig};

@@ -110,7 +110,7 @@ fn forced_session_expiry_reschedules_container() {
         .container_session("counter", 0)
         .expect("container registered");
     assert!(
-        coord.exists("/samza/jobs/counter/containers/0").is_some(),
+        coord.exists("/samza/jobs/counter/containers/0"),
         "liveness znode"
     );
 
@@ -129,7 +129,7 @@ fn forced_session_expiry_reschedules_container() {
         "replacement container owns a fresh session"
     );
     assert!(
-        coord.exists("/samza/jobs/counter/containers/0").is_some(),
+        coord.exists("/samza/jobs/counter/containers/0"),
         "replacement re-registers its ephemeral liveness znode"
     );
 
@@ -196,7 +196,7 @@ fn deliberate_restart_coexists_with_liveness_watches() {
     );
     handle.stop().unwrap();
     assert!(
-        cluster.coord().exists("/samza/jobs/echo").is_none(),
+        !cluster.coord().exists("/samza/jobs/echo"),
         "stop_job clears the job subtree"
     );
 }
@@ -254,21 +254,19 @@ fn shell_publishes_query_metadata_to_coordination_service() {
     let jobs = coord.children("/samzasql/queries").unwrap();
     assert_eq!(jobs.len(), 1, "one job registered");
     let base = format!("/samzasql/queries/{}", jobs[0]);
-    assert_eq!(coord.get(format!("{base}/sql")).unwrap().0, sql);
+    assert_eq!(coord.get(format!("{base}/sql")).unwrap(), sql);
     assert!(coord
         .get(format!("{base}/schema"))
         .unwrap()
-        .0
         .ends_with("-value"));
     // The AM published the job model alongside.
     let job_base = format!("/samza/jobs/{}", jobs[0]);
     assert!(coord
         .get(format!("{job_base}/model"))
         .unwrap()
-        .0
         .contains("\"containers\""));
     assert!(
-        coord.exists(format!("{job_base}/containers/0")).is_some(),
+        coord.exists(format!("{job_base}/containers/0")),
         "container liveness registered"
     );
 
