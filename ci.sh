@@ -28,6 +28,11 @@ if grep -rnwE 'Producer|Consumer|Partitioner|RecordMetadata|ConsumerRecord|offse
   echo "ci.sh: a deleted test-only Kafka client or coordination API is back" >&2
   exit 1
 fi
+# A job config holds only what the runtime reads: no unread config fields, second clocks, or legacy decoders.
+if grep -rnwE 'OutputStreamConfig|TypedStore|window_interval_messages|processed_since_window|SystemClock|VirtualClock|with_clock|decode_legacy|read_all|PerTupleOp|model_json|schema_subject|key_format|value_format' crates src tests examples; then
+  echo "ci.sh: a deleted config field, clock, or unused runtime path is back" >&2
+  exit 1
+fi
 # The benchmark package (perfbench/) lives outside the workspace but builds
 # against its crates: a workspace API change that breaks it fails here, not
 # in the perf gate. It has no lockfile of its own, so it runs without

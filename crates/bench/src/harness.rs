@@ -18,10 +18,10 @@ use samzasql_core::shell::SamzaSqlShell;
 use samzasql_core::tuple::{array_to_record, record_to_array};
 use samzasql_kafka::partitioner::hash_bytes;
 use samzasql_kafka::{Broker, Bytes, Message, TopicConfig};
-use samzasql_samza::{ClusterSim, InputStreamConfig, JobConfig, OutputStreamConfig, StoreConfig};
+use samzasql_samza::{ClusterSim, InputStreamConfig, JobConfig, StoreConfig};
 use samzasql_serde::avro::AvroCodec;
 use samzasql_serde::object::ObjectCodec;
-use samzasql_serde::{SerdeFormat, Value};
+use samzasql_serde::Value;
 use samzasql_workload::{
     orders_schema, products_schema, OrdersGenerator, OrdersSpec, ProductsGenerator, ProductsSpec,
 };
@@ -255,30 +255,21 @@ pub fn measure_native(
         .unwrap();
     let job = format!("native-{}", query.name());
     let mut cfg = JobConfig::new(&job)
-        .input(InputStreamConfig::avro("orders"))
-        .output(OutputStreamConfig::avro("native-output"))
+        .input(InputStreamConfig::new("orders"))
         .containers(containers);
     let kind = match query {
         EvalQuery::Filter => NativeTaskKind::Filter,
         EvalQuery::Project => NativeTaskKind::Project,
         EvalQuery::Join => {
             cfg = cfg
-                .input(InputStreamConfig::avro("products-changelog").bootstrap())
-                .store(StoreConfig::with_changelog(
-                    NATIVE_STORE,
-                    &job,
-                    SerdeFormat::Avro,
-                ));
+                .input(InputStreamConfig::new("products-changelog").bootstrap())
+                .store(StoreConfig::with_changelog(NATIVE_STORE, &job));
             NativeTaskKind::Join {
                 products_topic: "products-changelog".into(),
             }
         }
         EvalQuery::SlidingWindow => {
-            cfg = cfg.store(StoreConfig::with_changelog(
-                NATIVE_STORE,
-                &job,
-                SerdeFormat::Avro,
-            ));
+            cfg = cfg.store(StoreConfig::with_changelog(NATIVE_STORE, &job));
             NativeTaskKind::SlidingWindow { window_ms: 300_000 }
         }
     };

@@ -353,10 +353,7 @@ impl TaskFactory for NativeTaskFactory {
 mod tests {
     use super::*;
     use samzasql_kafka::{Broker, TopicConfig};
-    use samzasql_samza::{
-        Container, InputStreamConfig, JobConfig, JobModel, OutputStreamConfig, StoreConfig,
-    };
-    use samzasql_serde::SerdeFormat;
+    use samzasql_samza::{Container, InputStreamConfig, JobConfig, JobModel, StoreConfig};
     use samzasql_workload::{OrdersGenerator, OrdersSpec, ProductsGenerator, ProductsSpec};
 
     fn drain(broker: &Broker, topic: &str) -> Vec<Bytes> {
@@ -404,9 +401,7 @@ mod tests {
             let p = samzasql_kafka::partitioner::hash_bytes(m.key.as_ref().unwrap()) % 2;
             broker.produce("orders", p, m).unwrap();
         }
-        let cfg = JobConfig::new("nf")
-            .input(InputStreamConfig::avro("orders"))
-            .output(OutputStreamConfig::avro("out"));
+        let cfg = JobConfig::new("nf").input(InputStreamConfig::new("orders"));
         let factory = NativeTaskFactory {
             kind: NativeTaskKind::Filter,
             output: "out".into(),
@@ -447,14 +442,9 @@ mod tests {
             broker.produce("orders", p, m).unwrap();
         }
         let cfg = JobConfig::new("nj")
-            .input(InputStreamConfig::avro("orders"))
-            .input(InputStreamConfig::avro("products").bootstrap())
-            .output(OutputStreamConfig::avro("out"))
-            .store(StoreConfig::with_changelog(
-                NATIVE_STORE,
-                "nj",
-                SerdeFormat::Avro,
-            ));
+            .input(InputStreamConfig::new("orders"))
+            .input(InputStreamConfig::new("products").bootstrap())
+            .store(StoreConfig::with_changelog(NATIVE_STORE, "nj"));
         let factory = NativeTaskFactory {
             kind: NativeTaskKind::Join {
                 products_topic: "products".into(),
@@ -503,13 +493,8 @@ mod tests {
                 .unwrap();
         }
         let cfg = JobConfig::new("nw")
-            .input(InputStreamConfig::avro("orders"))
-            .output(OutputStreamConfig::avro("out"))
-            .store(StoreConfig::with_changelog(
-                NATIVE_STORE,
-                "nw",
-                SerdeFormat::Avro,
-            ));
+            .input(InputStreamConfig::new("orders"))
+            .store(StoreConfig::with_changelog(NATIVE_STORE, "nw"));
         let factory = NativeTaskFactory {
             kind: NativeTaskKind::SlidingWindow { window_ms: 300_000 },
             output: "out".into(),

@@ -62,8 +62,7 @@ impl<'a> OpCtx<'a> {
 /// The router pushes batches through the DAG: `input` is drained by the
 /// callee and outputs are appended to the shared `out` buffer, so a chain of
 /// operators reuses two ping-pong buffers instead of allocating a `Vec` per
-/// node per tuple. Operators that only need per-tuple logic can stay one
-/// closure via [`PerTupleOp`].
+/// node per tuple.
 pub trait Operator: Send {
     /// Process a batch of tuples that arrived on `side`. Implementations
     /// drain `input` (taking tuples by value) and append outputs to `out`
@@ -98,47 +97,6 @@ pub trait Operator: Send {
     fn name(&self) -> &'static str;
 }
 
-/// Adapter that lifts a per-tuple closure into the batch [`Operator`] API.
-///
-/// The closure receives each tuple by value plus the shared output buffer,
-/// so simple stateless operators stay a one-liner without implementing the
-/// batch plumbing themselves.
-pub struct PerTupleOp<F> {
-    name: &'static str,
-    f: F,
-}
-
-impl<F> PerTupleOp<F>
-where
-    F: FnMut(Side, Tuple, &mut Vec<Tuple>, &mut OpCtx<'_>) -> Result<()> + Send,
-{
-    pub fn new(name: &'static str, f: F) -> Self {
-        PerTupleOp { name, f }
-    }
-}
-
-impl<F> Operator for PerTupleOp<F>
-where
-    F: FnMut(Side, Tuple, &mut Vec<Tuple>, &mut OpCtx<'_>) -> Result<()> + Send,
-{
-    fn process_batch(
-        &mut self,
-        side: Side,
-        input: &mut Vec<Tuple>,
-        out: &mut Vec<Tuple>,
-        ctx: &mut OpCtx<'_>,
-    ) -> Result<()> {
-        for tuple in input.drain(..) {
-            (self.f)(side, tuple, out, ctx)?;
-        }
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
 /// Order-preserving big-endian encoding of an i64 (sign bit flipped so the
 /// byte order matches numeric order). Used in store keys for timestamps and
 /// window starts.
@@ -156,38 +114,6 @@ pub fn decode_i64(bytes: &[u8]) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use samzasql_serde::Value;
-
-    #[test]
-    fn per_tuple_adapter_drains_input_in_order() {
-        let mut op = PerTupleOp::new(
-            "double",
-            |_side, tuple: Tuple, out: &mut Vec<Tuple>, _ctx| {
-                out.push(tuple.clone());
-                out.push(tuple);
-                Ok(())
-            },
-        );
-        let mut input = vec![vec![Value::Int(1)], vec![Value::Int(2)]];
-        let mut out = Vec::new();
-        let mut discards = 0;
-        let mut ctx = OpCtx {
-            store: None,
-            late_discards: &mut discards,
-        };
-        op.process_batch(Side::Single, &mut input, &mut out, &mut ctx)
-            .unwrap();
-        assert!(input.is_empty(), "adapter must drain its input");
-        let ints: Vec<i32> = out
-            .iter()
-            .map(|t| match t[0] {
-                Value::Int(v) => v,
-                _ => panic!(),
-            })
-            .collect();
-        assert_eq!(ints, vec![1, 1, 2, 2]);
-        assert_eq!(op.name(), "double");
-    }
 
     #[test]
     fn i64_encoding_preserves_order() {

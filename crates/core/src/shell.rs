@@ -28,9 +28,7 @@ use samzasql_coord::Coord;
 use samzasql_kafka::{Broker, Bytes, Message, TopicConfig};
 use samzasql_obs::{MetricsRegistry, MonotonicTime, TimeSource};
 use samzasql_planner::{Catalog, PhysicalPlan, PlannedQuery, Planner};
-use samzasql_samza::{
-    ClusterSim, InputStreamConfig, JobConfig, JobHandle, OutputStreamConfig, StoreConfig,
-};
+use samzasql_samza::{ClusterSim, InputStreamConfig, JobConfig, JobHandle, StoreConfig};
 use samzasql_serde::avro::AvroCodec;
 use samzasql_serde::object::ObjectCodec;
 use samzasql_serde::{Schema, SerdeFormat, Value};
@@ -385,27 +383,19 @@ impl SamzaSqlShell {
 
     /// Build the job configuration for one stage (the shell half of two-step
     /// planning).
-    fn job_config(
-        &self,
-        job_name: &str,
-        spec: &QuerySpec,
-        output_topic: &str,
-        containers: u32,
-    ) -> JobConfig {
+    fn job_config(&self, job_name: &str, spec: &QuerySpec, containers: u32) -> JobConfig {
         let mut cfg = JobConfig::new(job_name).containers(containers);
         for (topic, bootstrap) in spec.physical.input_topics() {
-            let mut input = InputStreamConfig::avro(&topic);
+            let mut input = InputStreamConfig::new(topic);
             if bootstrap {
                 input = input.bootstrap();
             }
             cfg = cfg.input(input);
         }
-        cfg = cfg.output(OutputStreamConfig::avro(output_topic));
         if spec.physical.needs_local_state() || !spec.order_by.is_empty() || spec.limit.is_some() {
             cfg = cfg.store(StoreConfig::with_changelog(
                 crate::ops::STATE_STORE,
                 job_name,
-                SerdeFormat::Object,
             ));
         }
         cfg
@@ -498,7 +488,7 @@ impl SamzaSqlShell {
         let udafs = Arc::new(self.udafs.clone());
         for stage in stages {
             // The container layout is decided by run_bounded.
-            let cfg = self.job_config(&stage.job, &stage.spec, &stage.output, 1);
+            let cfg = self.job_config(&stage.job, &stage.spec, 1);
             let factory = self.task_factory(stage, &udafs, profile);
             samzasql_samza::run_bounded(&self.broker, cfg, &factory)?;
         }
@@ -525,7 +515,7 @@ impl SamzaSqlShell {
         let udafs = Arc::new(self.udafs.clone());
         let mut jobs = Vec::new();
         for stage in &stages {
-            let cfg = self.job_config(&stage.job, &stage.spec, &stage.output, containers);
+            let cfg = self.job_config(&stage.job, &stage.spec, containers);
             let factory = self.task_factory(stage, &udafs, self.profile_operators);
             jobs.push(self.cluster.submit(cfg, Arc::new(factory))?);
         }

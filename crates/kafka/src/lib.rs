@@ -59,6 +59,6 @@ pub use fault::{FaultInjector, FaultKind, FaultSchedule, FaultSpec};
 pub use log::{FetchResult, PartitionLog, Record, SegmentConfig};
 pub use message::{Message, TopicPartition};
 pub use replication::{AckMode, IsrDelta, ReplicationConfig};
-pub use retry::{splitmix64, Clock, Retrier, RetryMetrics, RetryPolicy, SystemClock, VirtualClock};
+pub use retry::{splitmix64, Retrier, RetryMetrics, RetryPolicy};
 pub use throttle::IoThrottle;
 pub use topic::{Topic, TopicConfig};

@@ -8,79 +8,12 @@
 //! a permanently failing partition surfaces [`KafkaError::RetriesExhausted`]
 //! instead of hanging.
 //!
-//! Time is injectable through the [`Clock`] trait. The default
-//! [`VirtualClock`] advances a logical counter instead of sleeping, which
-//! keeps chaos tests fast and deterministic; [`SystemClock`] really sleeps
-//! for callers that want wall-clock pacing.
+//! Backoff is logical: the budget counts the backoff milliseconds the
+//! policy schedules, and the retrier yields the thread between attempts
+//! instead of sleeping, which keeps chaos tests fast and deterministic.
 
 use crate::error::{KafkaError, Result};
 use samzasql_obs::{Counter, Histogram, MetricsRegistry};
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Injectable time source for backoff pacing.
-pub trait Clock: Send + Sync + fmt::Debug {
-    /// Milliseconds elapsed on this clock.
-    fn now_ms(&self) -> u64;
-    /// Wait for `ms` milliseconds (logically or really).
-    fn sleep_ms(&self, ms: u64);
-}
-
-/// Logical clock: `sleep_ms` advances the counter and yields the thread once
-/// (so spinning retry loops still make scheduling progress) without paying
-/// wall-clock time. This is the default everywhere.
-#[derive(Debug, Default)]
-pub struct VirtualClock {
-    now: AtomicU64,
-}
-
-impl VirtualClock {
-    pub fn new() -> Self {
-        VirtualClock::default()
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now_ms(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-
-    fn sleep_ms(&self, ms: u64) {
-        self.now.fetch_add(ms, Ordering::Relaxed);
-        std::thread::yield_now();
-    }
-}
-
-/// Wall clock: `sleep_ms` really sleeps.
-#[derive(Debug)]
-pub struct SystemClock {
-    start: std::time::Instant,
-}
-
-impl SystemClock {
-    pub fn new() -> Self {
-        SystemClock {
-            start: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Default for SystemClock {
-    fn default() -> Self {
-        SystemClock::new()
-    }
-}
-
-impl Clock for SystemClock {
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-
-    fn sleep_ms(&self, ms: u64) {
-        std::thread::sleep(std::time::Duration::from_millis(ms));
-    }
-}
 
 /// Retry configuration: exponential backoff with deterministic jitter,
 /// capped by attempts and by a total backoff budget.
@@ -207,21 +140,19 @@ impl RetryMetrics {
     }
 }
 
-/// A policy bound to a clock and a metrics sink: the object clients actually
-/// hold and call [`run`](Retrier::run) on.
+/// A policy bound to a metrics sink: the object clients actually hold and
+/// call [`run`](Retrier::run) on.
 #[derive(Debug, Clone)]
 pub struct Retrier {
     policy: RetryPolicy,
-    clock: Arc<dyn Clock>,
     metrics: RetryMetrics,
 }
 
 impl Retrier {
-    /// A retrier over the given policy with a fresh virtual clock.
+    /// A retrier over the given policy.
     pub fn new(policy: RetryPolicy) -> Self {
         Retrier {
             policy,
-            clock: Arc::new(VirtualClock::new()),
             metrics: RetryMetrics::default(),
         }
     }
@@ -229,12 +160,6 @@ impl Retrier {
     /// A retrier that never retries (first error wins).
     pub fn disabled() -> Self {
         Retrier::new(RetryPolicy::disabled())
-    }
-
-    /// Override the clock (builder style).
-    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
-        self
     }
 
     /// Share an existing metrics sink (builder style).
@@ -286,7 +211,9 @@ impl Retrier {
                     self.metrics.retries.inc();
                     self.metrics.backoff_ms.add(backoff);
                     self.metrics.backoff_hist_ms.record(backoff);
-                    self.clock.sleep_ms(backoff);
+                    // Logical backoff: yield so a spinning retry loop still
+                    // lets other threads run, without paying wall time.
+                    std::thread::yield_now();
                 }
             }
         }
@@ -396,11 +323,22 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_does_not_wall_sleep() {
+    fn backoff_does_not_wall_sleep() {
+        let policy = RetryPolicy {
+            max_attempts: 100,
+            base_backoff_ms: 10_000,
+            max_backoff_ms: 10_000,
+            jitter: 0.0,
+            budget_ms: 60_000,
+            seed: 1,
+        };
+        let r = Retrier::new(policy);
         let start = std::time::Instant::now();
-        let clock = VirtualClock::new();
-        clock.sleep_ms(10_000);
-        assert_eq!(clock.now_ms(), 10_000);
+        let out: Result<()> = r.run(|| Err(transient()));
+        assert!(matches!(out, Err(KafkaError::RetriesExhausted { .. })));
         assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        // Six 10 s backoffs fit the 60 s budget; the seventh would not.
+        assert_eq!(r.metrics().backoff_ms.get(), 60_000);
+        assert_eq!(r.metrics().retries.get(), 6);
     }
 }

@@ -1,8 +1,7 @@
 //! Time sources for instrumentation.
 //!
 //! Every obs component that measures durations takes its time from a
-//! [`TimeSource`] rather than calling `std::time` directly, mirroring the
-//! `Clock` injection used by the kafka retrier. Production code binds
+//! [`TimeSource`] rather than calling `std::time` directly. Production code binds
 //! [`MonotonicTime`]; tests bind [`ManualTime`] and advance it explicitly so
 //! snapshots are a pure function of the recorded workload.
 

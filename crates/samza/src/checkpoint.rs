@@ -23,7 +23,7 @@ impl Checkpoint {
     /// Serialize to the v2 text form: a `#v2\n` header followed by one
     /// `<topic_byte_len>:<topic>,<partition>,<offset>\n` record per entry.
     /// The length prefix makes the encoding unambiguous for *any* topic name
-    /// — the original `topic,partition,offset` lines silently lost the whole
+    /// — plain `topic,partition,offset` lines would lose the whole
     /// checkpoint when a topic contained a comma. (The paper's Samza stores
     /// checkpoints as JSON; a framed text format keeps this substrate
     /// dependency-free.)
@@ -41,19 +41,13 @@ impl Checkpoint {
         Bytes::from(s)
     }
 
+    /// Sequential scan of `<len>:<topic>,<partition>,<offset>\n` records
+    /// after the header. The topic is sliced by byte length, so commas and
+    /// newlines inside it cannot confuse the field separators that follow.
+    /// Bytes without the header are not a checkpoint.
     fn decode(bytes: &[u8]) -> Option<Checkpoint> {
-        match bytes.strip_prefix(V2_HEADER) {
-            Some(body) => Checkpoint::decode_v2(body),
-            None => Checkpoint::decode_legacy(bytes),
-        }
-    }
-
-    /// Sequential scan of `<len>:<topic>,<partition>,<offset>\n` records.
-    /// The topic is sliced by byte length, so commas and newlines inside it
-    /// cannot confuse the field separators that follow.
-    fn decode_v2(body: &[u8]) -> Option<Checkpoint> {
         let mut offsets = BTreeMap::new();
-        let mut rest = body;
+        let mut rest = bytes.strip_prefix(V2_HEADER)?;
         while !rest.is_empty() {
             let colon = rest.iter().position(|&b| b == b':')?;
             let len: usize = std::str::from_utf8(&rest[..colon]).ok()?.parse().ok()?;
@@ -69,22 +63,6 @@ impl Checkpoint {
             let nl = rest.iter().position(|&b| b == b'\n')?;
             let offset: u64 = std::str::from_utf8(&rest[..nl]).ok()?.parse().ok()?;
             rest = &rest[nl + 1..];
-            offsets.insert(TopicPartition::new(topic, partition), offset);
-        }
-        Some(Checkpoint { offsets })
-    }
-
-    /// Fallback for checkpoints written before the v2 header existed:
-    /// `topic,partition,offset` lines (ambiguous when topics contain commas,
-    /// which is exactly why v2 replaced it).
-    fn decode_legacy(bytes: &[u8]) -> Option<Checkpoint> {
-        let text = std::str::from_utf8(bytes).ok()?;
-        let mut offsets = BTreeMap::new();
-        for line in text.lines() {
-            let mut parts = line.split(',');
-            let topic = parts.next()?;
-            let partition: u32 = parts.next()?.parse().ok()?;
-            let offset: u64 = parts.next()?.parse().ok()?;
             offsets.insert(TopicPartition::new(topic, partition), offset);
         }
         Some(Checkpoint { offsets })
@@ -149,32 +127,6 @@ impl CheckpointManager {
         }
         Ok(latest)
     }
-
-    /// Newest checkpoints for every task in the job.
-    pub fn read_all(&self) -> Result<BTreeMap<String, Checkpoint>> {
-        let mut offset = self.broker.start_offset(&self.topic, 0)?;
-        let mut out = BTreeMap::new();
-        loop {
-            let batch = self
-                .retrier
-                .run(|| self.broker.fetch(&self.topic, 0, offset, 1024))?;
-            if batch.records.is_empty() {
-                break;
-            }
-            for rec in &batch.records {
-                offset = rec.offset + 1;
-                if let (Some(key), Some(cp)) = (
-                    rec.message.key.as_ref(),
-                    Checkpoint::decode(&rec.message.value),
-                ) {
-                    if let Ok(name) = std::str::from_utf8(key) {
-                        out.insert(name.to_string(), cp);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +151,7 @@ mod tests {
 
     #[test]
     fn topics_with_commas_and_newlines_survive() {
-        // The legacy format lost this checkpoint entirely; v2 must not.
+        // Comma-separated lines would lose this checkpoint; v2 must not.
         let c = cp(&[
             ("orders,eu", 0, 42),
             ("a\nb", 1, 7),
@@ -210,12 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn legacy_format_still_decodes() {
-        let legacy = b"orders,0,42\nproducts,3,7\n";
-        assert_eq!(
-            Checkpoint::decode(legacy),
-            Some(cp(&[("orders", 0, 42), ("products", 3, 7)]))
-        );
+    fn headerless_bytes_are_not_a_checkpoint() {
+        let headerless = b"orders,0,42\nproducts,3,7\n";
+        assert_eq!(Checkpoint::decode(headerless), None);
     }
 
     #[test]
@@ -232,8 +181,8 @@ mod tests {
     }
 
     /// A topic name of up to 24 characters. Half of them are printable
-    /// ASCII, so commas, colons and digits land inside topic names where the
-    /// legacy format fell apart; the other half are any character but a
+    /// ASCII, so commas, colons and digits land inside topic names where a
+    /// comma-separated format would fall apart; the other half are any character but a
     /// newline.
     fn topic_name(rng: &mut Rng) -> String {
         (0..rng.gen_range(0..=24))
@@ -285,19 +234,6 @@ mod tests {
             Some(cp(&[("t", 1, 5)]))
         );
         assert_eq!(mgr.read_last("Partition 2").unwrap(), None);
-    }
-
-    #[test]
-    fn read_all_collects_latest_per_task() {
-        let broker = Broker::new();
-        let mgr = CheckpointManager::new(broker, "job").unwrap();
-        mgr.write("a", &cp(&[("t", 0, 1)])).unwrap();
-        mgr.write("b", &cp(&[("t", 1, 2)])).unwrap();
-        mgr.write("a", &cp(&[("t", 0, 3)])).unwrap();
-        let all = mgr.read_all().unwrap();
-        assert_eq!(all.len(), 2);
-        assert_eq!(all["a"], cp(&[("t", 0, 3)]));
-        assert_eq!(all["b"], cp(&[("t", 1, 2)]));
     }
 
     #[test]

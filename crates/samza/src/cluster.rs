@@ -5,9 +5,10 @@
 //! application master that "makes scheduling and resource management
 //! decisions on behalf of its job" (§2, *Masterless Design*). Here a
 //! [`ClusterSim`] holds a set of nodes with container capacities. Submitting
-//! a job plans its [`JobModel`], publishes the model under
-//! `/samza/jobs/<job>/model` in the coordination service, places one thread
-//! per container on a node with free capacity, and returns a [`JobHandle`].
+//! a job plans its [`JobModel`], places one thread per container on a node
+//! with free capacity (each container receives its
+//! [`ContainerModel`](crate::coordinator::ContainerModel) in process), and
+//! returns a [`JobHandle`].
 //!
 //! **Liveness is coordination-driven.** Every container incarnation owns a
 //! coordination session (heartbeated from the container thread) and an
@@ -104,43 +105,6 @@ fn coord_err(e: CoordError) -> SamzaError {
     SamzaError::Cluster(format!("coordination: {e}"))
 }
 
-/// Minimal JSON string escaping for names/topics embedded in znode payloads.
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Serialize a job model as JSON for `/samza/jobs/<job>/model`. Hand-rolled
-/// so this crate does not grow a serializer dependency for one payload.
-fn model_json(model: &JobModel) -> String {
-    let containers: Vec<String> = model
-        .containers
-        .iter()
-        .map(|c| {
-            let tasks: Vec<String> = c
-                .tasks
-                .iter()
-                .map(|t| {
-                    format!(
-                        "{{\"name\":\"{}\",\"partition\":{}}}",
-                        escape_json(&t.task_name),
-                        t.partition
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"id\":{},\"tasks\":[{}]}}",
-                c.container_id,
-                tasks.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"job\":\"{}\",\"containers\":[{}]}}",
-        escape_json(&model.job_name),
-        containers.join(",")
-    )
-}
-
 impl ClusterSim {
     /// Create a cluster over `broker` with the given nodes and a fresh
     /// coordination service.
@@ -182,27 +146,10 @@ impl ClusterSim {
         format!("/samza/jobs/{job_name}/containers/{container_id}")
     }
 
-    /// Submit a job: plan its model, publish it to the coordination service,
-    /// place containers, start their threads, and arm liveness watches.
+    /// Submit a job: plan its model, place containers, start their threads,
+    /// and arm liveness watches.
     pub fn submit(&self, config: JobConfig, factory: Arc<dyn TaskFactory>) -> Result<JobHandle> {
         let model = JobModel::plan(&config, &self.broker)?;
-        // Publish the model and configuration where any container (or an
-        // operator poking at the tree) can read them.
-        let base = format!("/samza/jobs/{}", config.name);
-        self.coord
-            .upsert(format!("{base}/model"), model_json(&model))
-            .map_err(coord_err)?;
-        self.coord
-            .upsert(
-                format!("{base}/config"),
-                format!(
-                    "{{\"name\":\"{}\",\"containers\":{}}}",
-                    escape_json(&config.name),
-                    model.containers.len()
-                ),
-            )
-            .map_err(coord_err)?;
-
         let mut registrations = Vec::new();
         {
             let mut st = self.inner.lock().unwrap();

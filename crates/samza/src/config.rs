@@ -3,33 +3,26 @@
 //! §2: "Samza's deployment unit consists of a job package and a property
 //! based configuration file. The configuration file specifies the streaming
 //! task implementation, input and output configurations, Serdes … local
-//! storage configurations." SamzaSQL generates this configuration from the
-//! physical plan at the shell and ships plan metadata through the metadata
-//! store; the `properties` map carries those opaque entries.
+//! storage configurations." Here a job's configuration holds only what the
+//! container acts on: the inputs it reads, the stores it restores and
+//! commits, and the container and commit counts. SamzaSQL's tasks take
+//! their serdes and output topic from the plan they rebuild out of the
+//! coordination service (§4.2), so none of those live here.
 
 use crate::error::{Result, SamzaError};
-use samzasql_serde::SerdeFormat;
-use std::collections::BTreeMap;
 
 /// One input stream of a job.
 #[derive(Debug, Clone)]
 pub struct InputStreamConfig {
     pub topic: String,
-    /// Message format of the stream.
-    pub format: SerdeFormat,
-    /// Schema-registry subject carrying the stream's schema.
-    pub schema_subject: String,
     /// Bootstrap streams are fully drained before other inputs deliver.
     pub bootstrap: bool,
 }
 
 impl InputStreamConfig {
-    pub fn avro(topic: impl Into<String>) -> Self {
-        let topic = topic.into();
+    pub fn new(topic: impl Into<String>) -> Self {
         InputStreamConfig {
-            schema_subject: format!("{topic}-value"),
-            topic,
-            format: SerdeFormat::Avro,
+            topic: topic.into(),
             bootstrap: false,
         }
     }
@@ -41,58 +34,21 @@ impl InputStreamConfig {
     }
 }
 
-/// One output stream of a job.
-#[derive(Debug, Clone)]
-pub struct OutputStreamConfig {
-    pub topic: String,
-    pub format: SerdeFormat,
-    pub schema_subject: String,
-}
-
-impl OutputStreamConfig {
-    pub fn avro(topic: impl Into<String>) -> Self {
-        let topic = topic.into();
-        OutputStreamConfig {
-            schema_subject: format!("{topic}-value"),
-            topic,
-            format: SerdeFormat::Avro,
-        }
-    }
-}
-
-/// Configuration of one task-local key-value store.
+/// Configuration of one task-local key-value store and its changelog.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     pub name: String,
-    /// Serde applied to keys at the storage boundary.
-    pub key_format: SerdeFormat,
-    /// Serde applied to values at the storage boundary. SamzaSQL's generated
-    /// jobs use [`SerdeFormat::Object`] here (the Kryo analogue, §5.1);
-    /// native jobs use Avro.
-    pub value_format: SerdeFormat,
-    /// Changelog topic for fault tolerance; `None` disables restore.
-    pub changelog_topic: Option<String>,
+    /// Changelog topic the store is mirrored to and restored from.
+    pub changelog_topic: String,
 }
 
 impl StoreConfig {
     /// A store with changelog named `{job}-{store}-changelog` by convention.
-    pub fn with_changelog(name: impl Into<String>, job: &str, value_format: SerdeFormat) -> Self {
+    pub fn with_changelog(name: impl Into<String>, job: &str) -> Self {
         let name = name.into();
         StoreConfig {
-            changelog_topic: Some(format!("{job}-{name}-changelog")),
-            key_format: SerdeFormat::Object,
-            value_format,
+            changelog_topic: format!("{job}-{name}-changelog"),
             name,
-        }
-    }
-
-    /// An in-memory store without fault tolerance.
-    pub fn ephemeral(name: impl Into<String>, value_format: SerdeFormat) -> Self {
-        StoreConfig {
-            name: name.into(),
-            key_format: SerdeFormat::Object,
-            value_format,
-            changelog_topic: None,
         }
     }
 }
@@ -102,18 +58,11 @@ impl StoreConfig {
 pub struct JobConfig {
     pub name: String,
     pub inputs: Vec<InputStreamConfig>,
-    pub outputs: Vec<OutputStreamConfig>,
     pub stores: Vec<StoreConfig>,
     /// Number of containers the job's tasks are packed into.
     pub container_count: u32,
     /// Commit (checkpoint) every N processed messages per task.
     pub commit_interval_messages: u64,
-    /// Invoke `StreamTask::window` every N processed messages per task
-    /// (0 = never). A message-count trigger keeps simulated runs
-    /// deterministic where wall-clock timers would not be.
-    pub window_interval_messages: u64,
-    /// Opaque properties (SamzaSQL plan metadata references, etc.).
-    pub properties: BTreeMap<String, String>,
 }
 
 impl JobConfig {
@@ -121,22 +70,14 @@ impl JobConfig {
         JobConfig {
             name: name.into(),
             inputs: Vec::new(),
-            outputs: Vec::new(),
             stores: Vec::new(),
             container_count: 1,
             commit_interval_messages: 1024,
-            window_interval_messages: 0,
-            properties: BTreeMap::new(),
         }
     }
 
     pub fn input(mut self, input: InputStreamConfig) -> Self {
         self.inputs.push(input);
-        self
-    }
-
-    pub fn output(mut self, output: OutputStreamConfig) -> Self {
-        self.outputs.push(output);
         self
     }
 
@@ -147,11 +88,6 @@ impl JobConfig {
 
     pub fn containers(mut self, count: u32) -> Self {
         self.container_count = count;
-        self
-    }
-
-    pub fn property(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.properties.insert(key.into(), value.into());
         self
     }
 
@@ -196,7 +132,7 @@ mod tests {
     use super::*;
 
     fn base() -> JobConfig {
-        JobConfig::new("j").input(InputStreamConfig::avro("orders"))
+        JobConfig::new("j").input(InputStreamConfig::new("orders"))
     }
 
     #[test]
@@ -207,7 +143,7 @@ mod tests {
     #[test]
     fn empty_name_and_inputs_rejected() {
         assert!(JobConfig::new("")
-            .input(InputStreamConfig::avro("t"))
+            .input(InputStreamConfig::new("t"))
             .validate()
             .is_err());
         assert!(JobConfig::new("j").validate().is_err());
@@ -220,24 +156,24 @@ mod tests {
 
     #[test]
     fn all_bootstrap_inputs_rejected() {
-        let cfg = JobConfig::new("j").input(InputStreamConfig::avro("rel").bootstrap());
+        let cfg = JobConfig::new("j").input(InputStreamConfig::new("rel").bootstrap());
         assert!(cfg.validate().is_err());
         // A bootstrap plus a regular input is the valid join shape.
-        let cfg = cfg.input(InputStreamConfig::avro("orders"));
+        let cfg = cfg.input(InputStreamConfig::new("orders"));
         assert!(cfg.validate().is_ok());
     }
 
     #[test]
     fn duplicate_stores_rejected() {
         let cfg = base()
-            .store(StoreConfig::ephemeral("s", SerdeFormat::Avro))
-            .store(StoreConfig::ephemeral("s", SerdeFormat::Object));
+            .store(StoreConfig::with_changelog("s", "j"))
+            .store(StoreConfig::with_changelog("s", "j"));
         assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn changelog_naming_convention() {
-        let s = StoreConfig::with_changelog("win", "myjob", SerdeFormat::Object);
-        assert_eq!(s.changelog_topic.as_deref(), Some("myjob-win-changelog"));
+        let s = StoreConfig::with_changelog("win", "myjob");
+        assert_eq!(s.changelog_topic, "myjob-win-changelog");
     }
 }

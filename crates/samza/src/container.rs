@@ -2,9 +2,10 @@
 //!
 //! One container = one thread in the cluster simulation. The container owns
 //! the per-task consumer positions, enforces bootstrap-stream priority,
-//! flushes collectors to the producer, triggers window calls, and commits
-//! checkpoints. Killing a container loses all its in-memory state — exactly
-//! the failure the changelog/checkpoint machinery recovers from.
+//! flushes collectors to the producer, runs the end-of-input window call,
+//! and commits checkpoints. Killing a container loses all its in-memory
+//! state — exactly the failure the changelog/checkpoint machinery recovers
+//! from.
 
 use crate::checkpoint::{Checkpoint, CheckpointManager};
 use crate::config::JobConfig;
@@ -41,7 +42,6 @@ struct TaskInstance {
     /// Rotation cursor across input partitions.
     rotation: usize,
     processed_since_commit: u64,
-    processed_since_window: u64,
     shutdown: bool,
     /// Reusable buffer for draining the collector on flush (capacity
     /// persists across flushes).
@@ -165,15 +165,12 @@ impl Container {
             );
             // `init` restores the stores from their changelogs.
             for store_cfg in &config.stores {
-                let mut store = match &store_cfg.changelog_topic {
-                    Some(clog) => KeyValueStore::with_changelog(
-                        store_cfg.name.clone(),
-                        broker.clone(),
-                        clog.clone(),
-                        tm.partition,
-                    ),
-                    None => KeyValueStore::ephemeral(store_cfg.name.clone()),
-                };
+                let mut store = KeyValueStore::with_changelog(
+                    store_cfg.name.clone(),
+                    broker.clone(),
+                    store_cfg.changelog_topic.clone(),
+                    tm.partition,
+                );
                 store.set_retrier(retrier.clone());
                 let store_labels = [&labels[..], &[("store", store_cfg.name.as_str())]].concat();
                 store.set_metrics(StoreMetrics::new(registry, &store_labels));
@@ -186,7 +183,6 @@ impl Container {
                 bootstrap_pending: BTreeMap::new(),
                 rotation: 0,
                 processed_since_commit: 0,
-                processed_since_window: 0,
                 shutdown: false,
                 out_scratch: Vec::new(),
                 counters: TaskCounters::new(registry, &labels),
@@ -229,10 +225,10 @@ impl Container {
             job_partitions = job_partitions.max(self.broker.partition_count(&input.topic)?);
         }
         for store_cfg in &self.config.stores {
-            if let Some(clog) = &store_cfg.changelog_topic {
-                self.broker
-                    .ensure_topic(clog, TopicConfig::with_partitions(job_partitions))?;
-            }
+            self.broker.ensure_topic(
+                &store_cfg.changelog_topic,
+                TopicConfig::with_partitions(job_partitions),
+            )?;
         }
         let bootstrap_topics: BTreeSet<&str> = self
             .config
@@ -305,7 +301,6 @@ impl Container {
 
     fn step_task(&mut self, idx: usize) -> Result<u64> {
         let commit_interval = self.config.commit_interval_messages;
-        let window_interval = self.config.window_interval_messages;
         // Cheap Arc-backed clones so the task borrow below doesn't conflict.
         let broker = self.broker.clone();
         let checkpoints = self.checkpoints.clone();
@@ -379,12 +374,9 @@ impl Container {
             let mut i = 0usize;
             while i < slice.len() {
                 // Hand the task as much of the slice as fits before the next
-                // window/commit boundary, so batching never changes *when*
-                // those fire relative to the message stream.
+                // commit boundary, so batching never changes *when* commits
+                // fire relative to the message stream.
                 let mut take = slice.len() - i;
-                if window_interval > 0 {
-                    take = take.min((window_interval - ti.processed_since_window) as usize);
-                }
                 if commit_interval > 0 {
                     take = take.min((commit_interval - ti.processed_since_commit) as usize);
                 }
@@ -412,57 +404,19 @@ impl Container {
                     .expect("fetched from an assigned partition") = last.offset + 1;
                 processed += consumed as u64;
                 ti.processed_since_commit += consumed as u64;
-                ti.processed_since_window += consumed as u64;
                 ti.counters.messages_processed.add(consumed as u64);
-                if window_interval > 0 && ti.processed_since_window >= window_interval {
-                    ti.processed_since_window = 0;
-                    ti.task
-                        .window(&mut ti.ctx, &mut collector, &mut coordinator)?;
-                    ti.counters.window_calls.inc();
-                }
-                // Commit when the interval elapses or the task asked for it:
-                // flush pending output first, then checkpoint positions.
+                // Commit when the interval elapses or the task asked for it.
                 if coordinator.take_commit()
                     || (commit_interval > 0 && ti.processed_since_commit >= commit_interval)
                 {
                     ti.processed_since_commit = 0;
-                    // Samza's commit sequence: flush pending output, flush
-                    // state changelogs, then checkpoint input positions.
-                    // Durability strictly leads the checkpoint, so a crash at
-                    // any boundary replays input rather than losing effects.
-                    crash_if_armed(
-                        commit_crash,
-                        CommitPoint::BeforeOutputFlush,
-                        &ti.ctx.task_name,
-                    )?;
-                    Self::flush_outputs(
+                    Self::commit_task(
+                        ti,
+                        &mut collector,
                         &broker,
                         &retrier,
-                        &mut collector,
-                        &mut ti.out_scratch,
-                        &ti.counters.messages_sent,
-                        task_partition,
-                    )?;
-                    crash_if_armed(
+                        &checkpoints,
                         commit_crash,
-                        CommitPoint::AfterOutputFlush,
-                        &ti.ctx.task_name,
-                    )?;
-                    ti.ctx.flush_changelogs()?;
-                    crash_if_armed(
-                        commit_crash,
-                        CommitPoint::AfterChangelogFlush,
-                        &ti.ctx.task_name,
-                    )?;
-                    let cp = Checkpoint {
-                        offsets: ti.positions.clone(),
-                    };
-                    checkpoints.write(&ti.ctx.task_name, &cp)?;
-                    ti.counters.commits.inc();
-                    crash_if_armed(
-                        commit_crash,
-                        CommitPoint::AfterCheckpoint,
-                        &ti.ctx.task_name,
                     )?;
                 }
                 i += consumed;
@@ -487,6 +441,55 @@ impl Container {
             ti.shutdown = true;
         }
         Ok(processed)
+    }
+
+    /// Samza's commit sequence for one task: flush pending output, flush
+    /// state changelogs, then checkpoint input positions. Durability
+    /// strictly leads the checkpoint, so a crash at any boundary replays
+    /// input rather than losing effects. An armed [`CommitPoint`] crash
+    /// fires at its boundary.
+    fn commit_task(
+        ti: &mut TaskInstance,
+        collector: &mut MessageCollector,
+        broker: &Broker,
+        retrier: &Retrier,
+        checkpoints: &CheckpointManager,
+        commit_crash: &Cell<Option<CommitPoint>>,
+    ) -> Result<()> {
+        crash_if_armed(
+            commit_crash,
+            CommitPoint::BeforeOutputFlush,
+            &ti.ctx.task_name,
+        )?;
+        Self::flush_outputs(
+            broker,
+            retrier,
+            collector,
+            &mut ti.out_scratch,
+            &ti.counters.messages_sent,
+            ti.ctx.partition,
+        )?;
+        crash_if_armed(
+            commit_crash,
+            CommitPoint::AfterOutputFlush,
+            &ti.ctx.task_name,
+        )?;
+        ti.ctx.flush_changelogs()?;
+        crash_if_armed(
+            commit_crash,
+            CommitPoint::AfterChangelogFlush,
+            &ti.ctx.task_name,
+        )?;
+        let cp = Checkpoint {
+            offsets: ti.positions.clone(),
+        };
+        checkpoints.write(&ti.ctx.task_name, &cp)?;
+        ti.counters.commits.inc();
+        crash_if_armed(
+            commit_crash,
+            CommitPoint::AfterCheckpoint,
+            &ti.ctx.task_name,
+        )
     }
 
     /// Send everything the collector buffered, routing by explicit partition,
@@ -605,26 +608,19 @@ impl Container {
         Ok(())
     }
 
-    /// Force a checkpoint of every task now (state changelogs flushed
-    /// first, like the periodic commit).
+    /// Run the full commit sequence for every task now, exactly as the
+    /// periodic commit does (nothing is buffered between steps, so the
+    /// output flush has nothing to send).
     pub fn commit_all(&mut self) -> Result<()> {
-        let commit_crash = &self.commit_crash;
+        let mut collector = MessageCollector::new();
         for ti in &mut self.tasks {
-            ti.ctx.flush_changelogs()?;
-            crash_if_armed(
-                commit_crash,
-                CommitPoint::AfterChangelogFlush,
-                &ti.ctx.task_name,
-            )?;
-            let cp = Checkpoint {
-                offsets: ti.positions.clone(),
-            };
-            self.checkpoints.write(&ti.ctx.task_name, &cp)?;
-            ti.counters.commits.inc();
-            crash_if_armed(
-                commit_crash,
-                CommitPoint::AfterCheckpoint,
-                &ti.ctx.task_name,
+            Self::commit_task(
+                ti,
+                &mut collector,
+                &self.broker,
+                &self.retrier,
+                &self.checkpoints,
+                &self.commit_crash,
             )?;
         }
         Ok(())

@@ -116,8 +116,8 @@ mod tests {
         b.create_topic("products", TopicConfig::with_partitions(products_parts))
             .unwrap();
         let cfg = JobConfig::new("j")
-            .input(InputStreamConfig::avro("orders"))
-            .input(InputStreamConfig::avro("products").bootstrap());
+            .input(InputStreamConfig::new("orders"))
+            .input(InputStreamConfig::new("products").bootstrap());
         (b, cfg)
     }
 
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn unknown_topic_fails_planning() {
         let b = Broker::new();
-        let cfg = JobConfig::new("j").input(InputStreamConfig::avro("missing"));
+        let cfg = JobConfig::new("j").input(InputStreamConfig::new("missing"));
         assert!(JobModel::plan(&cfg, &b).is_err());
     }
 }

@@ -5,8 +5,9 @@
 //! restoration by replaying the state stream in case of a task failure."
 //!
 //! The store keeps **serialized bytes**, exactly like Samza's RocksDB-backed
-//! store: every `put` pays value serialization, every `get` pays
-//! deserialization (through [`TypedStore`]). On top of that, a configurable
+//! store: callers hand `put` encoded bytes and decode what `get` returns,
+//! each through its own codec (SamzaSQL's operators use the object codec,
+//! the native jobs Avro). On top of that, a configurable
 //! **storage-engine cost model** charges checksum work per access — RocksDB
 //! computes WAL/block checksums and does memtable/block work on every
 //! operation, and that per-access engine cost is what makes Figure 6's
@@ -31,7 +32,6 @@
 use crate::error::Result;
 use samzasql_kafka::{AckMode, Broker, Bytes, Message, Retrier};
 use samzasql_obs::{Counter, MetricsRegistry};
-use samzasql_serde::{BoxedSerde, Value};
 use std::collections::BTreeMap;
 
 /// Read/write counters for a store, used to confirm KV-dominance claims.
@@ -335,67 +335,10 @@ impl std::fmt::Debug for KeyValueStore {
     }
 }
 
-/// Typed view over a [`KeyValueStore`] that serializes keys and values
-/// through configured serdes on every access — the cost model that matters.
-pub struct TypedStore<'a> {
-    store: &'a mut KeyValueStore,
-    key_serde: BoxedSerde,
-    value_serde: BoxedSerde,
-}
-
-impl<'a> TypedStore<'a> {
-    pub fn new(
-        store: &'a mut KeyValueStore,
-        key_serde: BoxedSerde,
-        value_serde: BoxedSerde,
-    ) -> Self {
-        TypedStore {
-            store,
-            key_serde,
-            value_serde,
-        }
-    }
-
-    /// Serialize the key, look it up, deserialize the value.
-    pub fn get(&self, key: &Value) -> Result<Option<Value>> {
-        let kb = self.key_serde.serialize(key)?;
-        match self.store.get(&kb) {
-            Some(vb) => Ok(Some(self.value_serde.deserialize(&vb)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Serialize key and value, store the bytes.
-    pub fn put(&mut self, key: &Value, value: &Value) -> Result<()> {
-        let kb = self.key_serde.serialize(key)?;
-        let vb = self.value_serde.serialize(value)?;
-        self.store.put(&kb, Bytes::from(vb))
-    }
-
-    /// Serialize the key, delete the entry.
-    pub fn delete(&mut self, key: &Value) -> Result<()> {
-        let kb = self.key_serde.serialize(key)?;
-        self.store.delete(&kb)
-    }
-
-    /// Scan a key range (serialized-key order), deserializing each value.
-    pub fn range(&self, from: &Value, to: &Value) -> Result<Vec<(Bytes, Value)>> {
-        let fb = self.key_serde.serialize(from)?;
-        let tb = self.key_serde.serialize(to)?;
-        self.store
-            .range(&fb, &tb)
-            .into_iter()
-            .map(|(k, v)| Ok((Bytes::from(k), self.value_serde.deserialize(&v)?)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use samzasql_kafka::TopicConfig;
-    use samzasql_serde::serde_api::build_serde;
-    use samzasql_serde::{Schema, SerdeFormat};
 
     #[test]
     fn basic_crud_and_order() {
@@ -492,27 +435,6 @@ mod tests {
         s.flush_changelog().unwrap();
         assert_eq!(s.pending_changelog(), 0);
         assert_eq!(broker.end_offset("clog", 0).unwrap(), 1);
-    }
-
-    #[test]
-    fn typed_store_roundtrips_through_serdes() {
-        let schema = Schema::record("R", vec![("id", Schema::Int), ("name", Schema::String)]);
-        let mut s = KeyValueStore::ephemeral("s");
-        let mut t = TypedStore::new(
-            &mut s,
-            build_serde(SerdeFormat::Object, Schema::Int),
-            build_serde(SerdeFormat::Avro, schema),
-        );
-        let key = Value::Int(7);
-        let val = Value::record(vec![
-            ("id", Value::Int(7)),
-            ("name", Value::String("x".into())),
-        ]);
-        t.put(&key, &val).unwrap();
-        assert_eq!(t.get(&key).unwrap(), Some(val));
-        assert_eq!(t.get(&Value::Int(8)).unwrap(), None);
-        t.delete(&key).unwrap();
-        assert_eq!(t.get(&key).unwrap(), None);
     }
 
     #[test]

@@ -45,10 +45,10 @@ pub use bounded::{largest_first, run_bounded, worker_count};
 pub use chaos::{apply_fault, ChaosEvent, ChaosFault, ChaosScenario, ScenarioOptions};
 pub use checkpoint::{Checkpoint, CheckpointManager};
 pub use cluster::{ClusterSim, JobHandle, NodeConfig};
-pub use config::{InputStreamConfig, JobConfig, OutputStreamConfig, StoreConfig};
+pub use config::{InputStreamConfig, JobConfig, StoreConfig};
 pub use container::{CommitPoint, Container};
 pub use coordinator::{ContainerModel, JobModel, TaskModel};
 pub use error::{Result, SamzaError};
-pub use kv::{KeyValueStore, StoreMetrics, StoreMetricsSnapshot, TypedStore};
+pub use kv::{KeyValueStore, StoreMetrics, StoreMetricsSnapshot};
 pub use system::{IncomingMessageEnvelope, MessageCollector, OutgoingMessageEnvelope};
 pub use task::{StreamTask, TaskContext, TaskCoordinator, TaskFactory};

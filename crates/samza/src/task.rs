@@ -157,8 +157,10 @@ pub trait StreamTask: Send {
         Ok(envelopes.len())
     }
 
-    /// Called on the configured window interval (`WindowableTask`); hopping
-    /// and tumbling aggregates emit here.
+    /// Called once per task at end of input, after every input is drained
+    /// (`WindowableTask`): only `Container::window_all` calls it, which
+    /// `bounded::run_bounded` runs for bounded queries. Windowed and
+    /// relational aggregates flush their final results here.
     fn window(
         &mut self,
         _ctx: &mut TaskContext,

@@ -8,8 +8,8 @@ use samzasql_kafka::partitioner::hash_bytes;
 use samzasql_kafka::{Broker, Message, TopicConfig};
 use samzasql_samza::{
     run_bounded, worker_count, Container, IncomingMessageEnvelope, InputStreamConfig, JobConfig,
-    JobModel, MessageCollector, OutgoingMessageEnvelope, OutputStreamConfig, Result, SamzaError,
-    StreamTask, TaskContext, TaskCoordinator, TaskFactory,
+    JobModel, MessageCollector, OutgoingMessageEnvelope, Result, SamzaError, StreamTask,
+    TaskContext, TaskCoordinator, TaskFactory,
 };
 
 const PARTITIONS: u32 = 8;
@@ -100,9 +100,7 @@ fn broker_with(partition_of: impl Fn(u32) -> u32) -> Broker {
 }
 
 fn config(name: &str) -> JobConfig {
-    JobConfig::new(name)
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out"))
+    JobConfig::new(name).input(InputStreamConfig::new("in"))
 }
 
 /// Every record of `topic` as (partition, payload), partition then offset.
@@ -255,10 +253,7 @@ fn one_flush_routes_each_topic_by_its_own_partition_count() {
             )
             .unwrap();
     }
-    let cfg = JobConfig::new("fan")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out3"))
-        .output(OutputStreamConfig::avro("out5"));
+    let cfg = JobConfig::new("fan").input(InputStreamConfig::new("in"));
     let model = JobModel::plan(&cfg, &broker).unwrap();
     let mut container = Container::new(broker.clone(), cfg, model.containers[0].clone(), &|_| {
         Box::new(FanOutTask) as Box<dyn StreamTask>

@@ -16,10 +16,9 @@ use samzasql_kafka::{Broker, Message, ReplicationConfig, Retrier, TopicConfig};
 use samzasql_samza::{
     apply_fault, ChaosFault, ChaosScenario, ClusterSim, CommitPoint, Container,
     IncomingMessageEnvelope, InputStreamConfig, JobConfig, JobModel, MessageCollector, NodeConfig,
-    OutgoingMessageEnvelope, OutputStreamConfig, Result, ScenarioOptions, StoreConfig, StreamTask,
-    TaskContext, TaskCoordinator, TaskFactory,
+    OutgoingMessageEnvelope, Result, ScenarioOptions, StoreConfig, StreamTask, TaskContext,
+    TaskCoordinator, TaskFactory,
 };
-use samzasql_serde::SerdeFormat;
 use samzasql_testkit::wait_until_reporting;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -206,18 +205,16 @@ impl Shape {
     }
 
     fn config(self, job: &str) -> JobConfig {
-        let mut cfg = JobConfig::new(job)
-            .output(OutputStreamConfig::avro(OUT))
-            .containers(PARTITIONS);
+        let mut cfg = JobConfig::new(job).containers(PARTITIONS);
         cfg.commit_interval_messages = 16;
         match self {
             Shape::Join => cfg
-                .input(InputStreamConfig::avro("rel").bootstrap())
-                .input(InputStreamConfig::avro("orders")),
+                .input(InputStreamConfig::new("rel").bootstrap())
+                .input(InputStreamConfig::new("orders")),
             Shape::Window => cfg
-                .input(InputStreamConfig::avro("in"))
-                .store(StoreConfig::with_changelog("win", job, SerdeFormat::Object)),
-            _ => cfg.input(InputStreamConfig::avro("in")),
+                .input(InputStreamConfig::new("in"))
+                .store(StoreConfig::with_changelog("win", job)),
+            _ => cfg.input(InputStreamConfig::new("in")),
         }
     }
 
@@ -488,28 +485,25 @@ fn stream_to_relation_join_converges_under_chaos() {
 
 fn crash_cfg(shape: Shape) -> JobConfig {
     let mut cfg = JobConfig::new("commit-crash")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro(OUT))
+        .input(InputStreamConfig::new("in"))
         .containers(1);
     if shape == Shape::Window {
-        cfg = cfg.store(StoreConfig::with_changelog(
-            "win",
-            "commit-crash",
-            SerdeFormat::Object,
-        ));
+        cfg = cfg.store(StoreConfig::with_changelog("win", "commit-crash"));
     }
     cfg.commit_interval_messages = 16;
     cfg
 }
 
-/// Run `shape` in a bare container, crash it at `point` during a commit,
-/// restart a fresh incarnation (changelog restore + checkpoint resume), and
-/// return (baseline, recovered-first-wins-dedup) output maps. `strict`
-/// additionally requires every replayed emission to match the original.
+/// Run `shape` over `messages` inputs in a bare container, crash it at
+/// `point` during a commit, restart a fresh incarnation (changelog restore +
+/// checkpoint resume), and return (baseline, recovered-first-wins-dedup)
+/// output maps. `strict` additionally requires every replayed emission to
+/// match the original.
 fn crash_at_commit_point(
     shape: Shape,
     point: CommitPoint,
     strict: bool,
+    messages: u64,
 ) -> (BTreeMap<String, String>, BTreeMap<String, String>) {
     let mk_broker = || {
         let broker = Broker::new();
@@ -519,7 +513,7 @@ fn crash_at_commit_point(
         broker
             .create_topic(OUT, TopicConfig::with_partitions(1))
             .unwrap();
-        for i in 0..100u64 {
+        for i in 0..messages {
             broker
                 .produce("in", 0, Message::new(val(0, i).to_string()))
                 .unwrap();
@@ -541,7 +535,7 @@ fn crash_at_commit_point(
     .unwrap();
     c.run_until_caught_up().unwrap();
     let baseline = dedup_output(&clean);
-    assert_eq!(baseline.len(), 100);
+    assert_eq!(baseline.len() as u64, messages);
 
     // Crash-at-boundary run.
     let broker = mk_broker();
@@ -581,7 +575,7 @@ const ALL_POINTS: [CommitPoint; 4] = [
 #[test]
 fn stateless_crash_recovery_is_exact_at_every_boundary() {
     for point in ALL_POINTS {
-        let (baseline, recovered) = crash_at_commit_point(Shape::Project, point, true);
+        let (baseline, recovered) = crash_at_commit_point(Shape::Project, point, true, 100);
         assert_eq!(
             recovered, baseline,
             "stateless crash at {point:?} must recover exactly"
@@ -599,7 +593,7 @@ fn stateful_crash_recovery_is_exact_at_consistent_boundaries() {
         CommitPoint::AfterOutputFlush,
         CommitPoint::AfterCheckpoint,
     ] {
-        let (baseline, recovered) = crash_at_commit_point(Shape::Window, point, true);
+        let (baseline, recovered) = crash_at_commit_point(Shape::Window, point, true, 100);
         assert_eq!(
             recovered, baseline,
             "stateful crash at {point:?} must recover exactly"
@@ -618,11 +612,32 @@ fn stateful_crash_recovery_is_exact_at_consistent_boundaries() {
 #[test]
 fn stateful_crash_between_changelog_and_checkpoint_is_at_least_once() {
     let (baseline, recovered) =
-        crash_at_commit_point(Shape::Window, CommitPoint::AfterChangelogFlush, false);
+        crash_at_commit_point(Shape::Window, CommitPoint::AfterChangelogFlush, false, 100);
     assert_eq!(
         recovered, baseline,
         "first-emission dedup must still match the baseline"
     );
+}
+
+/// The final commit of `run_until_caught_up` runs the same sequence as the
+/// periodic one. With fewer inputs than `commit_interval_messages` no
+/// periodic commit runs, so a crash armed before or after the output flush
+/// must fire in the final commit, and a fresh container must still recover
+/// the fault-free output.
+#[test]
+fn final_commit_fires_output_flush_crash_points() {
+    for shape in [Shape::Project, Shape::Window] {
+        for point in [
+            CommitPoint::BeforeOutputFlush,
+            CommitPoint::AfterOutputFlush,
+        ] {
+            let (baseline, recovered) = crash_at_commit_point(shape, point, true, 10);
+            assert_eq!(
+                recovered, baseline,
+                "{shape:?}: crash at {point:?} in the final commit must recover exactly"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -722,9 +737,7 @@ fn task_error_crashes_container_and_am_respawns_it() {
             tripped: t2.clone(),
         })
     };
-    let mut cfg = JobConfig::new("failonce")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro(OUT));
+    let mut cfg = JobConfig::new("failonce").input(InputStreamConfig::new("in"));
     cfg.commit_interval_messages = 8;
     let handle = cluster.submit(cfg, Arc::new(factory)).unwrap();
 

@@ -4,10 +4,9 @@
 use samzasql_kafka::{Broker, Message, TopicConfig};
 use samzasql_samza::{
     ClusterSim, IncomingMessageEnvelope, InputStreamConfig, JobConfig, MessageCollector,
-    NodeConfig, OutgoingMessageEnvelope, OutputStreamConfig, Result, StoreConfig, StreamTask,
-    TaskContext, TaskCoordinator, TaskFactory,
+    NodeConfig, OutgoingMessageEnvelope, Result, StoreConfig, StreamTask, TaskContext,
+    TaskCoordinator, TaskFactory,
 };
-use samzasql_serde::SerdeFormat;
 use samzasql_testkit::wait_until;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,8 +53,7 @@ fn submitted_job_processes_live_traffic() {
         .unwrap();
     let cluster = ClusterSim::single_node(broker.clone());
     let cfg = JobConfig::new("echo")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out"))
+        .input(InputStreamConfig::new("in"))
         .containers(2);
     let handle = cluster.submit(cfg, Arc::new(EchoFactory)).unwrap();
 
@@ -78,7 +76,7 @@ fn duplicate_job_submission_rejected() {
         .create_topic("in", TopicConfig::with_partitions(1))
         .unwrap();
     let cluster = ClusterSim::single_node(broker);
-    let cfg = JobConfig::new("dup").input(InputStreamConfig::avro("in"));
+    let cfg = JobConfig::new("dup").input(InputStreamConfig::new("in"));
     let h = cluster.submit(cfg.clone(), Arc::new(EchoFactory)).unwrap();
     assert!(cluster.submit(cfg, Arc::new(EchoFactory)).is_err());
     h.stop().unwrap();
@@ -92,7 +90,7 @@ fn capacity_limits_are_enforced() {
         .unwrap();
     let cluster = ClusterSim::new(broker, vec![NodeConfig::new("tiny", 1)]);
     let cfg = JobConfig::new("big")
-        .input(InputStreamConfig::avro("in"))
+        .input(InputStreamConfig::new("in"))
         .containers(4);
     assert!(cluster.submit(cfg, Arc::new(EchoFactory)).is_err());
 }
@@ -113,17 +111,13 @@ fn jobs_are_isolated() {
     let cluster = ClusterSim::single_node(broker.clone());
     let h1 = cluster
         .submit(
-            JobConfig::new("j1")
-                .input(InputStreamConfig::avro("in1"))
-                .output(OutputStreamConfig::avro("out")),
+            JobConfig::new("j1").input(InputStreamConfig::new("in1")),
             Arc::new(EchoFactory),
         )
         .unwrap();
     let h2 = cluster
         .submit(
-            JobConfig::new("j2")
-                .input(InputStreamConfig::avro("in2"))
-                .output(OutputStreamConfig::avro("out")),
+            JobConfig::new("j2").input(InputStreamConfig::new("in2")),
             Arc::new(EchoFactory),
         )
         .unwrap();
@@ -185,9 +179,7 @@ fn task_series_continue_across_a_respawn() {
             .unwrap();
     }
     let cluster = ClusterSim::single_node(broker.clone());
-    let mut cfg = JobConfig::new("echo")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out"));
+    let mut cfg = JobConfig::new("echo").input(InputStreamConfig::new("in"));
     // Every message is checkpointed as it is processed, so the respawn
     // replays nothing and the series counts each message once.
     cfg.commit_interval_messages = 1;
@@ -242,13 +234,8 @@ fn kill_and_restart_restores_state_and_resumes() {
         vec![NodeConfig::new("n0", 4), NodeConfig::new("n1", 4)],
     );
     let mut cfg = JobConfig::new("counter")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out"))
-        .store(StoreConfig::with_changelog(
-            "c",
-            "counter",
-            SerdeFormat::Object,
-        ));
+        .input(InputStreamConfig::new("in"))
+        .store(StoreConfig::with_changelog("c", "counter"));
     // Commit often so the kill loses little (but possibly some) progress.
     cfg.commit_interval_messages = 1;
     let handle = cluster.submit(cfg, Arc::new(CounterFactory)).unwrap();
@@ -301,7 +288,7 @@ fn killed_container_moves_to_least_loaded_node() {
     );
     let handle = cluster
         .submit(
-            JobConfig::new("mover").input(InputStreamConfig::avro("in")),
+            JobConfig::new("mover").input(InputStreamConfig::new("in")),
             Arc::new(EchoFactory),
         )
         .unwrap();

@@ -1,14 +1,12 @@
 //! Integration tests for the container runtime: processing, output routing,
-//! bootstrap-stream priority, window triggers, checkpoint/commit behaviour,
+//! bootstrap-stream priority, checkpoint/commit behaviour,
 //! and store state and counters across container replacement.
 
 use samzasql_kafka::{Broker, Bytes, Message, TopicConfig};
 use samzasql_samza::{
     Container, IncomingMessageEnvelope, InputStreamConfig, JobConfig, JobModel, MessageCollector,
-    OutgoingMessageEnvelope, OutputStreamConfig, Result, StreamTask, TaskContext, TaskCoordinator,
-    TaskFactory,
+    OutgoingMessageEnvelope, Result, StreamTask, TaskContext, TaskCoordinator, TaskFactory,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Forwards every payload to `out`, uppercased, preserving keys.
@@ -72,8 +70,7 @@ fn container_processes_and_routes_output() {
     broker.produce("in", 0, Message::new("c")).unwrap();
 
     let cfg = JobConfig::new("fwd")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out"))
+        .input(InputStreamConfig::new("in"))
         .containers(1);
     let model = JobModel::plan(&cfg, &broker).unwrap();
     let mut container = Container::new(
@@ -112,9 +109,7 @@ fn keyed_output_routes_by_key_hash() {
             )
             .unwrap();
     }
-    let cfg = JobConfig::new("fwd")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out"));
+    let cfg = JobConfig::new("fwd").input(InputStreamConfig::new("in"));
     let model = JobModel::plan(&cfg, &broker).unwrap();
     let mut container = Container::new(
         broker.clone(),
@@ -179,8 +174,8 @@ fn bootstrap_stream_fully_drains_before_other_inputs() {
         })
     };
     let cfg = JobConfig::new("join")
-        .input(InputStreamConfig::avro("orders"))
-        .input(InputStreamConfig::avro("products").bootstrap());
+        .input(InputStreamConfig::new("orders"))
+        .input(InputStreamConfig::new("products").bootstrap());
     let model = JobModel::plan(&cfg, &broker).unwrap();
     let mut container =
         Container::new(broker.clone(), cfg, model.containers[0].clone(), &factory).unwrap();
@@ -220,8 +215,8 @@ fn late_bootstrap_records_still_delivered_after_catchup() {
         })
     };
     let cfg = JobConfig::new("join2")
-        .input(InputStreamConfig::avro("orders"))
-        .input(InputStreamConfig::avro("products").bootstrap());
+        .input(InputStreamConfig::new("orders"))
+        .input(InputStreamConfig::new("products").bootstrap());
     let model = JobModel::plan(&cfg, &broker).unwrap();
     let mut container =
         Container::new(broker.clone(), cfg, model.containers[0].clone(), &factory).unwrap();
@@ -233,63 +228,6 @@ fn late_bootstrap_records_still_delivered_after_catchup() {
 }
 
 /// Counts window() invocations.
-struct WindowCountTask {
-    windows: Arc<AtomicU64>,
-}
-
-impl StreamTask for WindowCountTask {
-    fn process(
-        &mut self,
-        _envelope: &IncomingMessageEnvelope,
-        _ctx: &mut TaskContext,
-        _collector: &mut MessageCollector,
-        _coordinator: &mut TaskCoordinator,
-    ) -> Result<()> {
-        Ok(())
-    }
-
-    fn window(
-        &mut self,
-        _ctx: &mut TaskContext,
-        _collector: &mut MessageCollector,
-        _coordinator: &mut TaskCoordinator,
-    ) -> Result<()> {
-        self.windows.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-}
-
-#[test]
-fn window_fires_on_message_interval() {
-    let broker = Broker::new();
-    broker
-        .create_topic("in", TopicConfig::with_partitions(1))
-        .unwrap();
-    for i in 0..25 {
-        broker
-            .produce("in", 0, Message::new(format!("{i}")))
-            .unwrap();
-    }
-    let windows = Arc::new(AtomicU64::new(0));
-    let w2 = windows.clone();
-    let factory = move |_p: u32| -> Box<dyn StreamTask> {
-        Box::new(WindowCountTask {
-            windows: w2.clone(),
-        })
-    };
-    let mut cfg = JobConfig::new("win").input(InputStreamConfig::avro("in"));
-    cfg.window_interval_messages = 10;
-    let model = JobModel::plan(&cfg, &broker).unwrap();
-    let mut container =
-        Container::new(broker.clone(), cfg, model.containers[0].clone(), &factory).unwrap();
-    container.run_until_caught_up().unwrap();
-    assert_eq!(
-        windows.load(Ordering::Relaxed),
-        2,
-        "25 messages / interval 10 = 2 windows"
-    );
-}
-
 #[test]
 fn restart_resumes_from_checkpoint_not_from_start() {
     let broker = Broker::new();
@@ -304,9 +242,7 @@ fn restart_resumes_from_checkpoint_not_from_start() {
             .produce("in", 0, Message::new(format!("m{i}")))
             .unwrap();
     }
-    let cfg = JobConfig::new("resume")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out"));
+    let cfg = JobConfig::new("resume").input(InputStreamConfig::new("in"));
     let model = JobModel::plan(&cfg, &broker).unwrap();
 
     // First incarnation: process everything and commit.
@@ -353,7 +289,7 @@ fn commit_interval_produces_periodic_checkpoints() {
             .produce("in", 0, Message::new(format!("{i}")))
             .unwrap();
     }
-    let mut cfg = JobConfig::new("commits").input(InputStreamConfig::avro("in"));
+    let mut cfg = JobConfig::new("commits").input(InputStreamConfig::new("in"));
     cfg.commit_interval_messages = 25;
     let model = JobModel::plan(&cfg, &broker).unwrap();
     let factory = |_p: u32| -> Box<dyn StreamTask> {
@@ -415,7 +351,6 @@ impl StreamTask for CountTask {
 #[test]
 fn store_state_survives_container_replacement() {
     use samzasql_samza::StoreConfig;
-    use samzasql_serde::SerdeFormat;
 
     let broker = Broker::new();
     broker
@@ -425,13 +360,8 @@ fn store_state_survives_container_replacement() {
         .create_topic("out", TopicConfig::with_partitions(1))
         .unwrap();
     let cfg = JobConfig::new("counting")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out"))
-        .store(StoreConfig::with_changelog(
-            "counts",
-            "counting",
-            SerdeFormat::Object,
-        ));
+        .input(InputStreamConfig::new("in"))
+        .store(StoreConfig::with_changelog("counts", "counting"));
     let factory = |_p: u32| -> Box<dyn StreamTask> { Box::new(CountTask) };
     let model = JobModel::plan(&cfg, &broker).unwrap();
 

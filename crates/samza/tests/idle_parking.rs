@@ -7,8 +7,8 @@
 use samzasql_kafka::{Broker, Message, TopicConfig};
 use samzasql_samza::{
     ClusterSim, Container, IncomingMessageEnvelope, InputStreamConfig, JobConfig, JobModel,
-    MessageCollector, OutgoingMessageEnvelope, OutputStreamConfig, Result, StreamTask, TaskContext,
-    TaskCoordinator, TaskFactory,
+    MessageCollector, OutgoingMessageEnvelope, Result, StreamTask, TaskContext, TaskCoordinator,
+    TaskFactory,
 };
 use samzasql_testkit::wait_until;
 use std::sync::Arc;
@@ -52,8 +52,7 @@ fn broker() -> Broker {
 
 fn config(containers: u32) -> JobConfig {
     JobConfig::new("echo")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out"))
+        .input(InputStreamConfig::new("in"))
         .containers(containers)
 }
 

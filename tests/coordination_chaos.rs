@@ -9,10 +9,9 @@ use samzasql::kafka::{Broker, Message, TopicConfig};
 use samzasql::prelude::*;
 use samzasql::samza::{
     IncomingMessageEnvelope, InputStreamConfig, JobConfig, MessageCollector,
-    OutgoingMessageEnvelope, OutputStreamConfig, Result as SamzaResult, StoreConfig, StreamTask,
-    TaskContext, TaskCoordinator, TaskFactory,
+    OutgoingMessageEnvelope, Result as SamzaResult, StoreConfig, StreamTask, TaskContext,
+    TaskCoordinator, TaskFactory,
 };
-use samzasql::serde::SerdeFormat;
 use samzasql_testkit::wait_until;
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,13 +87,8 @@ fn forced_session_expiry_reschedules_container() {
         .create_topic("out", TopicConfig::with_partitions(1))
         .unwrap();
     let mut cfg = JobConfig::new("counter")
-        .input(InputStreamConfig::avro("in"))
-        .output(OutputStreamConfig::avro("out"))
-        .store(StoreConfig::with_changelog(
-            "c",
-            "counter",
-            SerdeFormat::Object,
-        ));
+        .input(InputStreamConfig::new("in"))
+        .store(StoreConfig::with_changelog("c", "counter"));
     cfg.commit_interval_messages = 1;
     let handle = cluster.submit(cfg, Arc::new(CounterFactory)).unwrap();
 
@@ -174,7 +168,7 @@ fn deliberate_restart_coexists_with_liveness_watches() {
     let handle = cluster
         .submit(
             JobConfig::new("echo")
-                .input(InputStreamConfig::avro("in"))
+                .input(InputStreamConfig::new("in"))
                 .containers(2),
             Arc::new(CounterFactoryLess),
         )
@@ -259,12 +253,8 @@ fn shell_publishes_query_metadata_to_coordination_service() {
         .get(format!("{base}/schema"))
         .unwrap()
         .ends_with("-value"));
-    // The AM published the job model alongside.
+    // The AM registered the container's liveness node.
     let job_base = format!("/samza/jobs/{}", jobs[0]);
-    assert!(coord
-        .get(format!("{job_base}/model"))
-        .unwrap()
-        .contains("\"containers\""));
     assert!(
         coord.exists(format!("{job_base}/containers/0")),
         "container liveness registered"
