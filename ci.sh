@@ -33,6 +33,12 @@ if grep -rnwE 'OutputStreamConfig|TypedStore|window_interval_messages|processed_
   echo "ci.sh: a deleted config field, clock, or unused runtime path is back" >&2
   exit 1
 fi
+# No synthetic cost models: a store access and an object decode cost only the
+# work they do, so SQL/native ratios compare real work.
+if grep -rnwE 'engine_cost|engine_cost_passes|set_engine_cost_passes|DEFAULT_ENGINE_COST_PASSES|reflect_cost|reflection_passes|with_reflection_passes|DEFAULT_REFLECTION_PASSES' crates src tests examples; then
+  echo "ci.sh: a deleted synthetic cost model is back" >&2
+  exit 1
+fi
 # The benchmark package (perfbench/) lives outside the workspace but builds
 # against its crates: a workspace API change that breaks it fails here, not
 # in the perf gate. It has no lockfile of its own, so it runs without

@@ -105,9 +105,16 @@ impl ThroughputResult {
     }
 }
 
-/// Preload the workload: `orders` (and `products-changelog` for joins) onto
-/// a fresh broker. Returns the expected total input-message count.
-pub fn setup_workload(broker: &Broker, query: EvalQuery, partitions: u32, n: usize) -> u64 {
+/// Preload the workload: `n` orders from `orders` (and `products-changelog`
+/// for joins) onto a fresh broker. Returns the expected total input-message
+/// count.
+pub fn setup_workload(
+    broker: &Broker,
+    query: EvalQuery,
+    partitions: u32,
+    orders: OrdersSpec,
+    n: usize,
+) -> u64 {
     broker
         .create_topic("orders", TopicConfig::with_partitions(partitions))
         .unwrap();
@@ -127,7 +134,7 @@ pub fn setup_workload(broker: &Broker, query: EvalQuery, partitions: u32, n: usi
             broker.produce("products-changelog", p, m).unwrap();
         }
     }
-    let mut gen = OrdersGenerator::new(OrdersSpec::default());
+    let mut gen = OrdersGenerator::new(orders);
     for m in gen.messages(n) {
         let p = hash_bytes(m.key.as_ref().expect("keyed")) % partitions;
         broker.produce("orders", p, m).unwrap();
@@ -194,26 +201,8 @@ fn measure_samzasql_mode(
     direct_data_api: bool,
     profile: bool,
 ) -> (ThroughputResult, Vec<NodeStats>) {
-    let broker = Broker::new();
-    let expected = setup_workload(&broker, query, partitions, n);
-    let mut shell = SamzaSqlShell::new(broker.clone());
-    shell
-        .register_stream("Orders", "orders", orders_schema(), "rowtime")
-        .unwrap();
-    // Orders are produced keyed by productId — matching declaration avoids a
-    // repartition stage (the paper's jobs are likewise co-partitioned).
-    shell.set_partition_key("Orders", "productId").unwrap();
-    if query.needs_products() {
-        shell
-            .register_table(
-                "Products",
-                "products-changelog",
-                products_schema(),
-                "productId",
-            )
-            .unwrap();
-    }
-    shell.default_containers = containers;
+    let (mut shell, expected) =
+        samzasql_shell(query, containers, partitions, OrdersSpec::default(), n);
     shell.direct_data_api = direct_data_api;
     shell.profile_operators = profile;
 
@@ -241,6 +230,39 @@ fn measure_samzasql_mode(
     (ThroughputResult::new(expected, elapsed), breakdown)
 }
 
+/// A shell over a freshly preloaded broker with `query`'s inputs
+/// registered, ready to submit on `containers` containers. Returns the
+/// shell and the expected input-message count.
+fn samzasql_shell(
+    query: EvalQuery,
+    containers: u32,
+    partitions: u32,
+    orders: OrdersSpec,
+    n: usize,
+) -> (SamzaSqlShell, u64) {
+    let broker = Broker::new();
+    let expected = setup_workload(&broker, query, partitions, orders, n);
+    let mut shell = SamzaSqlShell::new(broker);
+    shell
+        .register_stream("Orders", "orders", orders_schema(), "rowtime")
+        .unwrap();
+    // Orders are produced keyed by productId — matching declaration avoids a
+    // repartition stage (the paper's jobs are likewise co-partitioned).
+    shell.set_partition_key("Orders", "productId").unwrap();
+    if query.needs_products() {
+        shell
+            .register_table(
+                "Products",
+                "products-changelog",
+                products_schema(),
+                "productId",
+            )
+            .unwrap();
+    }
+    shell.default_containers = containers;
+    (shell, expected)
+}
+
 /// Measure the hand-written native Samza job for the same query.
 pub fn measure_native(
     query: EvalQuery,
@@ -248,10 +270,34 @@ pub fn measure_native(
     partitions: u32,
     n: usize,
 ) -> ThroughputResult {
+    let (broker, cfg, factory, expected) =
+        native_job(query, containers, partitions, OrdersSpec::default(), n);
+    let cluster = ClusterSim::single_node(broker);
+
+    let start = Instant::now();
+    let handle = cluster.submit(cfg, Arc::new(factory)).unwrap();
+    let _ = wait_processed(|| handle.processed(), expected, Duration::from_secs(600));
+    let elapsed = start.elapsed();
+    handle.stop().unwrap();
+    ThroughputResult::new(expected, elapsed)
+}
+
+/// Output topic of the native jobs.
+const NATIVE_OUTPUT: &str = "native-output";
+
+/// The native job for `query` over a freshly preloaded broker: the broker,
+/// the job's config and task factory, and the expected input-message count.
+fn native_job(
+    query: EvalQuery,
+    containers: u32,
+    partitions: u32,
+    orders: OrdersSpec,
+    n: usize,
+) -> (Broker, JobConfig, NativeTaskFactory, u64) {
     let broker = Broker::new();
-    let expected = setup_workload(&broker, query, partitions, n);
+    let expected = setup_workload(&broker, query, partitions, orders, n);
     broker
-        .create_topic("native-output", TopicConfig::with_partitions(partitions))
+        .create_topic(NATIVE_OUTPUT, TopicConfig::with_partitions(partitions))
         .unwrap();
     let job = format!("native-{}", query.name());
     let mut cfg = JobConfig::new(&job)
@@ -275,16 +321,9 @@ pub fn measure_native(
     };
     let factory = NativeTaskFactory {
         kind,
-        output: "native-output".into(),
+        output: NATIVE_OUTPUT.into(),
     };
-    let cluster = ClusterSim::single_node(broker.clone());
-
-    let start = Instant::now();
-    let handle = cluster.submit(cfg, Arc::new(factory)).unwrap();
-    let _ = wait_processed(|| handle.processed(), expected, Duration::from_secs(600));
-    let elapsed = start.elapsed();
-    handle.stop().unwrap();
-    ThroughputResult::new(expected, elapsed)
+    (broker, cfg, factory, expected)
 }
 
 /// One run of the broker message-size experiment.
@@ -409,16 +448,104 @@ pub fn measure_codecs(iterations: usize) -> CodecCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::native::{join_output_schema, project_output_schema, sliding_output_schema};
+    use samzasql_serde::Schema;
 
-    /// Small smoke runs keep CI fast; the figures binary uses larger N.
+    /// Every record of `topic`, decoded with `schema`, as a row of field
+    /// values in position order. Int, Long and Timestamp widen to Long:
+    /// the SQL and native jobs declare different integral types for the
+    /// same columns.
+    fn output_rows(broker: &Broker, topic: &str, schema: Schema) -> Vec<Vec<Value>> {
+        let codec = AvroCodec::new(schema);
+        let mut rows = Vec::new();
+        for p in 0..broker.partition_count(topic).unwrap() {
+            let mut off = broker.start_offset(topic, p).unwrap();
+            loop {
+                let batch = broker.fetch(topic, p, off, 1024).unwrap();
+                if batch.records.is_empty() {
+                    break;
+                }
+                for rec in batch.records {
+                    off = rec.offset + 1;
+                    let Value::Record(fields) = codec.decode(&rec.message.value).unwrap() else {
+                        panic!("{topic}: output is not a record");
+                    };
+                    rows.push(
+                        fields
+                            .into_iter()
+                            .map(|(_, v)| match v {
+                                Value::Int(i) => Value::Long(i.into()),
+                                Value::Timestamp(t) => Value::Long(t),
+                                v => v,
+                            })
+                            .collect(),
+                    );
+                }
+            }
+        }
+        rows
+    }
+
+    /// The rows as a sorted multiset (cross-partition order is free).
+    fn multiset(rows: &[Vec<Value>]) -> Vec<String> {
+        let mut keys: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+        keys.sort();
+        keys
+    }
+
+    /// Both sides of every SQL/native ratio do the same work: on the same
+    /// seeded input, the SQL stream job and the native job write the same
+    /// multiset of output rows. One order a second spreads the input over
+    /// 50 minutes, so the 5-minute window expires most of what it stores.
     #[test]
-    fn samzasql_and_native_agree_on_filter_output() {
-        let n = 2_000;
-        let sq = measure_samzasql(EvalQuery::Filter, 1, 4, n);
-        let nv = measure_native(EvalQuery::Filter, 1, 4, n);
-        assert_eq!(sq.messages, n as u64);
-        assert_eq!(nv.messages, n as u64);
-        assert!(sq.msgs_per_sec > 0.0 && nv.msgs_per_sec > 0.0);
+    fn samzasql_and_native_write_the_same_rows() {
+        let (partitions, n) = (4, 3_000);
+        let orders = OrdersSpec {
+            inter_arrival_ms: 1_000,
+            ..OrdersSpec::default()
+        };
+        for query in [
+            EvalQuery::Filter,
+            EvalQuery::Project,
+            EvalQuery::Join,
+            EvalQuery::SlidingWindow,
+        ] {
+            let (mut shell, expected) = samzasql_shell(query, 1, partitions, orders.clone(), n);
+            let handle = shell.submit(query.sql()).unwrap();
+            let _ = wait_processed(|| handle.processed(), expected, Duration::from_secs(120));
+            let topic = handle.output_topic().to_string();
+            handle.stop().unwrap();
+            let schema = shell
+                .planner()
+                .catalog()
+                .registry()
+                .latest(&format!("{topic}-value"))
+                .unwrap()
+                .schema;
+            let sql = output_rows(shell.broker(), &topic, schema);
+
+            let (broker, cfg, factory, expected) =
+                native_job(query, 1, partitions, orders.clone(), n);
+            let cluster = ClusterSim::single_node(broker.clone());
+            let handle = cluster.submit(cfg, Arc::new(factory)).unwrap();
+            let _ = wait_processed(|| handle.processed(), expected, Duration::from_secs(120));
+            handle.stop().unwrap();
+            let schema = match query {
+                EvalQuery::Filter => orders_schema(),
+                EvalQuery::Project => project_output_schema(),
+                EvalQuery::Join => join_output_schema(),
+                EvalQuery::SlidingWindow => sliding_output_schema(),
+            };
+            let native = output_rows(&broker, NATIVE_OUTPUT, schema);
+
+            let name = query.name();
+            assert!(!sql.is_empty(), "{name}: no output");
+            assert_eq!(sql.len(), native.len(), "{name}: row counts differ");
+            assert!(
+                multiset(&sql) == multiset(&native),
+                "{name}: SQL and native rows differ"
+            );
+        }
     }
 
     #[test]

@@ -7,14 +7,12 @@
 //! The store keeps **serialized bytes**, exactly like Samza's RocksDB-backed
 //! store: callers hand `put` encoded bytes and decode what `get` returns,
 //! each through its own codec (SamzaSQL's operators use the object codec,
-//! the native jobs Avro). On top of that, a configurable
-//! **storage-engine cost model** charges checksum work per access — RocksDB
-//! computes WAL/block checksums and does memtable/block work on every
-//! operation, and that per-access engine cost is what makes Figure 6's
-//! sliding-window throughput "dominated by access to the key-value store"
-//! for *both* SamzaSQL and native jobs. The model is real computation over
-//! the stored bytes (FNV passes), not a timer; disable it with
-//! [`KeyValueStore::set_engine_cost_passes`]`(0)`.
+//! the native jobs Avro). An access costs what it really does here: the
+//! ordered-map lookup or insert, the key and value copies, and the
+//! changelog entry a mutation buffers. Figure 6's sliding window is
+//! "dominated by access to the key-value store" for both SamzaSQL and
+//! native jobs because each tuple does several of these accesses, a range
+//! scan and the serde around them, not because any one access is slow.
 //!
 //! Every mutation is mirrored to a changelog topic partition; restoring a
 //! store means replaying that partition from the beginning (deletes are
@@ -33,6 +31,7 @@ use crate::error::Result;
 use samzasql_kafka::{AckMode, Broker, Bytes, Message, Retrier};
 use samzasql_obs::{Counter, MetricsRegistry};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Read/write counters for a store, used to confirm KV-dominance claims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,27 +80,9 @@ pub struct KeyValueStore {
     changelog: Option<(Broker, String, u32)>,
     /// Mutations not yet flushed to the changelog (key, value-or-tombstone).
     pending: Vec<(Vec<u8>, Bytes)>,
-    /// Checksum passes per access (storage-engine cost model); 0 disables.
-    engine_cost_passes: u32,
     metrics: StoreMetrics,
     /// Retry policy for changelog flush and restore traffic.
     retrier: Retrier,
-}
-
-/// Default checksum passes, calibrated so one access over a ~100-byte value
-/// costs on the order of RocksDB memtable work.
-pub const DEFAULT_ENGINE_COST_PASSES: u32 = 12;
-
-/// One FNV-1a pass over a byte slice (the checksum primitive of the engine
-/// cost model). Public so benchmarks can calibrate.
-#[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 impl KeyValueStore {
@@ -112,7 +93,6 @@ impl KeyValueStore {
             data: BTreeMap::new(),
             changelog: None,
             pending: Vec::new(),
-            engine_cost_passes: DEFAULT_ENGINE_COST_PASSES,
             metrics: StoreMetrics::default(),
             retrier: Retrier::default(),
         }
@@ -131,15 +111,9 @@ impl KeyValueStore {
             data: BTreeMap::new(),
             changelog: Some((broker, changelog_topic.into(), partition)),
             pending: Vec::new(),
-            engine_cost_passes: DEFAULT_ENGINE_COST_PASSES,
             metrics: StoreMetrics::default(),
             retrier: Retrier::default(),
         }
-    }
-
-    /// Configure the storage-engine cost model (0 disables it).
-    pub fn set_engine_cost_passes(&mut self, passes: u32) {
-        self.engine_cost_passes = passes;
     }
 
     /// Override the retry policy for changelog flush/restore traffic, so a
@@ -153,22 +127,6 @@ impl KeyValueStore {
         self.metrics = metrics;
     }
 
-    /// Charge the engine cost for one access. RocksDB's per-operation cost
-    /// is dominated by *fixed* work — memtable skiplist traversal, WAL
-    /// record framing, block handling — plus a checksum over the touched
-    /// block, so the model hashes a fixed-size block per pass (value size
-    /// contributes only via the real byte copies elsewhere). Folded into a
-    /// black-box read so the work is not optimized away.
-    #[inline]
-    fn engine_cost(&self, bytes: &[u8]) {
-        const BLOCK: [u8; 256] = [0xA5; 256];
-        let mut acc = fnv1a(&bytes[..bytes.len().min(32)]);
-        for _ in 0..self.engine_cost_passes {
-            acc = acc.wrapping_add(fnv1a(&BLOCK));
-        }
-        std::hint::black_box(acc);
-    }
-
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -179,7 +137,6 @@ impl KeyValueStore {
         let v = self.data.get(key).cloned();
         if let Some(ref b) = v {
             self.metrics.bytes_read.add(b.len() as u64);
-            self.engine_cost(b); // block-checksum verification
         }
         v
     }
@@ -194,7 +151,6 @@ impl KeyValueStore {
         if self.changelog.is_some() {
             self.pending.push((key.to_vec(), value.clone()));
         }
-        self.engine_cost(&value); // WAL checksum + memtable work
         self.data.insert(key.to_vec(), value);
         Ok(())
     }
@@ -249,7 +205,7 @@ impl KeyValueStore {
         let mut read = 0u64;
         let out: Vec<(Vec<u8>, Bytes)> = self
             .data
-            .range(from.to_vec()..to.to_vec())
+            .range::<[u8], _>((Bound::Included(from), Bound::Excluded(to)))
             .map(|(k, v)| {
                 read += v.len() as u64;
                 (k.clone(), v.clone())

@@ -11,16 +11,9 @@
 //! dispatch, string reads, name allocation) are intrinsically higher than
 //! the schema-driven [`crate::avro`] codec.
 //!
-//! One JVM-specific cost cannot arise organically in Rust: Kryo's
-//! *reflective* object reconstruction (class resolution, per-field
-//! `Field`-handle lookups, boxing) costs on the order of microseconds per
-//! small object on the JVM. Record decoding therefore charges a calibrated
-//! **reflection cost model** — real FNV hashing over the class/field-name
-//! bytes and a fixed metadata block per field, standing in for the hash
-//! lookups and metadata walks reflection performs. It is computation, not a
-//! timer; tune or disable it with
-//! [`ObjectCodec::with_reflection_passes`]. The calibration is documented in
-//! DESIGN.md ("substitutions").
+//! The decode gap is exactly what that extra work costs;
+//! `figures --fig ablation` measures the object/Avro decode ratio, and
+//! EXPERIMENTS.md reports it.
 
 use crate::error::{Result, SerdeError};
 use crate::value::Value;
@@ -29,21 +22,6 @@ use std::collections::BTreeMap;
 /// The "class name" written with every record object, mirroring Kryo's
 /// unregistered-class header.
 const RECORD_CLASS_NAME: &str = "org.apache.samza.sql.data.GenericTuple";
-
-/// Default metadata-walk passes per decoded record field (reflection cost
-/// model). Calibrated so decoding a small (3–5 field) record costs a few
-/// microseconds, the ballpark of JVM Kryo reflective deserialization.
-pub const DEFAULT_REFLECTION_PASSES: u32 = 10;
-
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -59,41 +37,12 @@ const TAG_MAP: u8 = 10;
 const TAG_RECORD: u8 = 11;
 
 /// Schema-free, self-describing codec.
-#[derive(Debug, Clone)]
-pub struct ObjectCodec {
-    reflection_passes: u32,
-}
-
-impl Default for ObjectCodec {
-    fn default() -> Self {
-        ObjectCodec {
-            reflection_passes: DEFAULT_REFLECTION_PASSES,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct ObjectCodec;
 
 impl ObjectCodec {
     pub fn new() -> Self {
-        ObjectCodec::default()
-    }
-
-    /// Override the reflection cost model (0 disables it).
-    pub fn with_reflection_passes(mut self, passes: u32) -> Self {
-        self.reflection_passes = passes;
-        self
-    }
-
-    /// Charge the reflective field-resolution cost for one name: hash the
-    /// name, then walk a fixed metadata block per pass (black-boxed so the
-    /// work is retained).
-    #[inline]
-    fn reflect_cost(&self, name: &str) {
-        const METADATA: [u8; 128] = [0x5A; 128];
-        let mut acc = fnv1a(name.as_bytes());
-        for _ in 0..self.reflection_passes {
-            acc = acc.wrapping_add(fnv1a(&METADATA));
-        }
-        std::hint::black_box(acc);
+        ObjectCodec
     }
 
     /// Encode any value without a schema.
@@ -106,7 +55,7 @@ impl ObjectCodec {
     /// Decode a buffer produced by [`encode`](Self::encode).
     pub fn decode(&self, bytes: &[u8]) -> Result<Value> {
         let mut pos = 0usize;
-        let v = decode(self, bytes, &mut pos)?;
+        let v = decode(bytes, &mut pos)?;
         if pos != bytes.len() {
             return Err(SerdeError::Corrupt(format!(
                 "{} trailing bytes after value",
@@ -219,7 +168,7 @@ fn read_string(buf: &[u8], pos: &mut usize) -> Result<String> {
     String::from_utf8(read_slice(buf, pos, len)?.to_vec()).map_err(|_| SerdeError::InvalidUtf8)
 }
 
-fn decode(codec: &ObjectCodec, buf: &[u8], pos: &mut usize) -> Result<Value> {
+fn decode(buf: &[u8], pos: &mut usize) -> Result<Value> {
     let tag = read_byte(buf, pos)?;
     match tag {
         TAG_NULL => Ok(Value::Null),
@@ -253,7 +202,7 @@ fn decode(codec: &ObjectCodec, buf: &[u8], pos: &mut usize) -> Result<Value> {
             let len = read_len(buf, pos)?;
             let mut items = Vec::with_capacity(len.min(1024));
             for _ in 0..len {
-                items.push(decode(codec, buf, pos)?);
+                items.push(decode(buf, pos)?);
             }
             Ok(Value::Array(items))
         }
@@ -262,7 +211,7 @@ fn decode(codec: &ObjectCodec, buf: &[u8], pos: &mut usize) -> Result<Value> {
             let mut m = BTreeMap::new();
             for _ in 0..len {
                 let k = read_string(buf, pos)?;
-                m.insert(k, decode(codec, buf, pos)?);
+                m.insert(k, decode(buf, pos)?);
             }
             Ok(Value::Map(m))
         }
@@ -274,13 +223,11 @@ fn decode(codec: &ObjectCodec, buf: &[u8], pos: &mut usize) -> Result<Value> {
             if class != RECORD_CLASS_NAME {
                 return Err(SerdeError::Corrupt(format!("unknown record class {class}")));
             }
-            codec.reflect_cost(&class); // class resolution
             let len = read_len(buf, pos)?;
             let mut fields = Vec::with_capacity(len.min(1024));
             for _ in 0..len {
                 let name = read_string(buf, pos)?;
-                codec.reflect_cost(&name); // Field handle lookup + set
-                fields.push((name, decode(codec, buf, pos)?));
+                fields.push((name, decode(buf, pos)?));
             }
             Ok(Value::Record(fields))
         }
