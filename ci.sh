@@ -39,6 +39,12 @@ if grep -rnwE 'engine_cost|engine_cost_passes|set_engine_cost_passes|DEFAULT_ENG
   echo "ci.sh: a deleted synthetic cost model is back" >&2
   exit 1
 fi
+# Records share their schema's field names (serdes `Record`): no per-record
+# name/value pair vectors in the codecs or the operators.
+if grep -rnF 'Vec<(String, Value)>' crates/serdes crates/core/src; then
+  echo "ci.sh: a record that owns its field names is back" >&2
+  exit 1
+fi
 # The benchmark package (perfbench/) lives outside the workspace but builds
 # against its crates: a workspace API change that breaks it fails here, not
 # in the perf gate. It has no lockfile of its own, so it runs without

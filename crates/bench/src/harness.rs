@@ -86,6 +86,9 @@ impl EvalQuery {
     }
 }
 
+/// The RANGE of the Figure 6 window, `INTERVAL '5' MINUTE`, in ms.
+pub const WINDOW_RANGE_MS: i64 = 300_000;
+
 /// One throughput measurement.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputResult {
@@ -316,7 +319,9 @@ fn native_job(
         }
         EvalQuery::SlidingWindow => {
             cfg = cfg.store(StoreConfig::with_changelog(NATIVE_STORE, &job));
-            NativeTaskKind::SlidingWindow { window_ms: 300_000 }
+            NativeTaskKind::SlidingWindow {
+                window_ms: WINDOW_RANGE_MS,
+            }
         }
     };
     let factory = NativeTaskFactory {
@@ -411,12 +416,14 @@ pub fn measure_codecs(iterations: usize) -> CodecCosts {
     let object = ObjectCodec::new();
     let avro_bytes: Vec<Vec<u8>> = records.iter().map(|r| avro.encode(r).unwrap()).collect();
     let object_bytes: Vec<Vec<u8>> = records.iter().map(|r| object.encode(r).unwrap()).collect();
-    let names: Vec<String> = orders_schema()
-        .fields()
-        .unwrap()
-        .iter()
-        .map(|f| f.name.clone())
-        .collect();
+    let names: Arc<Vec<String>> = Arc::new(
+        orders_schema()
+            .fields()
+            .unwrap()
+            .iter()
+            .map(|f| f.name.clone())
+            .collect(),
+    );
     let ns_per_record = |step: &dyn Fn(usize)| {
         let start = Instant::now();
         for i in 0..iterations {
@@ -467,13 +474,14 @@ mod tests {
                 }
                 for rec in batch.records {
                     off = rec.offset + 1;
-                    let Value::Record(fields) = codec.decode(&rec.message.value).unwrap() else {
+                    let Value::Record(record) = codec.decode(&rec.message.value).unwrap() else {
                         panic!("{topic}: output is not a record");
                     };
                     rows.push(
-                        fields
+                        record
+                            .into_values()
                             .into_iter()
-                            .map(|(_, v)| match v {
+                            .map(|v| match v {
                                 Value::Int(i) => Value::Long(i.into()),
                                 Value::Timestamp(t) => Value::Long(t),
                                 v => v,
@@ -493,6 +501,30 @@ mod tests {
         keys
     }
 
+    /// Runs `query` to completion on one container, as the SQL stream job
+    /// and then as the native job, each over its own broker preloaded with
+    /// the same seeded input. Returns the SQL shell, the SQL job's output
+    /// topic and the native job's broker.
+    fn run_sql_and_native(
+        query: EvalQuery,
+        partitions: u32,
+        orders: OrdersSpec,
+        n: usize,
+    ) -> (SamzaSqlShell, String, Broker) {
+        let (mut shell, expected) = samzasql_shell(query, 1, partitions, orders.clone(), n);
+        let handle = shell.submit(query.sql()).unwrap();
+        let _ = wait_processed(|| handle.processed(), expected, Duration::from_secs(120));
+        let topic = handle.output_topic().to_string();
+        handle.stop().unwrap();
+
+        let (broker, cfg, factory, expected) = native_job(query, 1, partitions, orders, n);
+        let cluster = ClusterSim::single_node(broker.clone());
+        let handle = cluster.submit(cfg, Arc::new(factory)).unwrap();
+        let _ = wait_processed(|| handle.processed(), expected, Duration::from_secs(120));
+        handle.stop().unwrap();
+        (shell, topic, broker)
+    }
+
     /// Both sides of every SQL/native ratio do the same work: on the same
     /// seeded input, the SQL stream job and the native job write the same
     /// multiset of output rows. One order a second spreads the input over
@@ -510,11 +542,7 @@ mod tests {
             EvalQuery::Join,
             EvalQuery::SlidingWindow,
         ] {
-            let (mut shell, expected) = samzasql_shell(query, 1, partitions, orders.clone(), n);
-            let handle = shell.submit(query.sql()).unwrap();
-            let _ = wait_processed(|| handle.processed(), expected, Duration::from_secs(120));
-            let topic = handle.output_topic().to_string();
-            handle.stop().unwrap();
+            let (shell, topic, broker) = run_sql_and_native(query, partitions, orders.clone(), n);
             let schema = shell
                 .planner()
                 .catalog()
@@ -523,13 +551,6 @@ mod tests {
                 .unwrap()
                 .schema;
             let sql = output_rows(shell.broker(), &topic, schema);
-
-            let (broker, cfg, factory, expected) =
-                native_job(query, 1, partitions, orders.clone(), n);
-            let cluster = ClusterSim::single_node(broker.clone());
-            let handle = cluster.submit(cfg, Arc::new(factory)).unwrap();
-            let _ = wait_processed(|| handle.processed(), expected, Duration::from_secs(120));
-            handle.stop().unwrap();
             let schema = match query {
                 EvalQuery::Filter => orders_schema(),
                 EvalQuery::Project => project_output_schema(),
@@ -546,6 +567,160 @@ mod tests {
                 "{name}: SQL and native rows differ"
             );
         }
+    }
+
+    /// KV-store accesses of one job, read from the `samza.store.*` series.
+    #[derive(Debug, PartialEq)]
+    struct StoreWork {
+        gets: u64,
+        puts: u64,
+        deletes: u64,
+        range_scans: u64,
+    }
+
+    fn store_work(broker: &Broker) -> StoreWork {
+        let snap = broker.metrics_registry().snapshot_prefix("samza.store.");
+        let sum = |name: &str| snap.counter_sum(&format!("samza.store.{name}"));
+        StoreWork {
+            gets: sum("gets"),
+            puts: sum("puts"),
+            deletes: sum("deletes"),
+            range_scans: sum("range_scans"),
+        }
+    }
+
+    /// The preloaded orders of each partition as `(rowtime, productId)`,
+    /// in offset order.
+    fn orders_by_partition(broker: &Broker) -> Vec<Vec<(i64, i64)>> {
+        let codec = AvroCodec::new(orders_schema());
+        (0..broker.partition_count("orders").unwrap())
+            .map(|p| {
+                let end = broker.end_offset("orders", p).unwrap();
+                let batch = broker.fetch("orders", p, 0, end as usize).unwrap();
+                batch
+                    .records
+                    .iter()
+                    .map(|r| {
+                        let t = codec.decode_to_tuple(&r.message.value).unwrap();
+                        (t[0].as_i64().unwrap(), t[1].as_i64().unwrap())
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The store work of `query`'s SQL and native jobs, and their input.
+    fn store_work_of(
+        query: EvalQuery,
+        partitions: u32,
+        orders: OrdersSpec,
+        n: usize,
+    ) -> (StoreWork, StoreWork, Vec<Vec<(i64, i64)>>) {
+        let (shell, _, broker) = run_sql_and_native(query, partitions, orders, n);
+        (
+            store_work(shell.broker()),
+            store_work(&broker),
+            orders_by_partition(shell.broker()),
+        )
+    }
+
+    /// Distinct products of each partition, summed. A partition's orders
+    /// reach its task as one batch when they fit one container fetch (256
+    /// records) and its task sees fewer records than the commit interval
+    /// (1 024), so on such an input this is the number of (batch, key)
+    /// pairs the SQL operators memoize.
+    fn distinct_keys_per_batch(input: &[Vec<(i64, i64)>]) -> u64 {
+        input
+            .iter()
+            .map(|orders| {
+                assert!(
+                    orders.len() < 256,
+                    "a partition must fit one 256-record container fetch to stay one batch"
+                );
+                let keys: std::collections::BTreeSet<i64> =
+                    orders.iter().map(|(_, k)| *k).collect();
+                keys.len() as u64
+            })
+            .sum()
+    }
+
+    /// Deterministic store-work gate: on a tiny seeded input, the KV work
+    /// per input tuple of each path, counted from the registry. Native
+    /// tasks pay a store read per tuple; the SQL join and window operators
+    /// memoize per batch, so they read once per distinct key per batch.
+    #[test]
+    fn store_work_per_tuple_is_pinned_on_both_paths() {
+        let (partitions, n) = (4, 400);
+        // Ten seconds between orders: each product's orders spread over
+        // more than the 5-minute window, so the window purges.
+        let orders = OrdersSpec {
+            inter_arrival_ms: 10_000,
+            ..OrdersSpec::default()
+        };
+        let n64 = n as u64;
+        let products = ProductsSpec::default().products as u64;
+
+        // Join: each relation row is one put on both paths. Native probes
+        // the store once per order; SQL once per distinct key per batch.
+        let (sql, native, input) = store_work_of(EvalQuery::Join, partitions, orders.clone(), n);
+        let keys = distinct_keys_per_batch(&input);
+        assert!(keys < n64, "the input must repeat keys within a batch");
+        assert_eq!(
+            native,
+            StoreWork {
+                gets: n64,
+                puts: products,
+                deletes: 0,
+                range_scans: 0
+            },
+            "native join"
+        );
+        assert_eq!(
+            sql,
+            StoreWork {
+                gets: keys,
+                puts: products,
+                deletes: 0,
+                range_scans: 0
+            },
+            "SQL join"
+        );
+
+        // Window: per order, both paths store the message and range-scan
+        // its group's expired messages, and delete the same expired
+        // messages. Native reads and writes the group's sum per order; SQL
+        // reads and writes the group's state once per batch.
+        let (sql, native, input) = store_work_of(EvalQuery::SlidingWindow, partitions, orders, n);
+        let keys = distinct_keys_per_batch(&input);
+        let expired = input
+            .iter()
+            .flatten()
+            .filter(|(ts, key)| {
+                let newest = input.iter().flatten().filter(|(_, k)| k == key);
+                newest.map(|(t, _)| *t).max().unwrap() - WINDOW_RANGE_MS > *ts
+            })
+            .count() as u64;
+        assert!(expired > 0, "the window must slide on this input");
+        assert_eq!(
+            native,
+            StoreWork {
+                gets: n64,
+                puts: 2 * n64,
+                deletes: expired,
+                range_scans: n64
+            },
+            "native window"
+        );
+        assert_eq!(
+            sql,
+            StoreWork {
+                gets: keys,
+                puts: n64 + keys,
+                deletes: expired,
+                range_scans: n64
+            },
+            "SQL window"
+        );
     }
 
     #[test]

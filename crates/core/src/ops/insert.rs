@@ -1,19 +1,19 @@
 //! Stream insert operator: array → record → encoded output message.
 //!
-//! The `ArrayToAvro` step of Figure 4: the final operator rewraps the array
-//! tuple as a record and encodes it with the output stream's serde. It also
+//! The `ArrayToAvro` step of Figure 4: the final operator wraps the array
+//! tuple in a record and encodes it with the output stream's serde. It also
 //! recovers the event timestamp for the outgoing envelope when the output
 //! schema retained a timestamp column.
 //!
-//! Column names are shared via an `Arc<[String]>` and the intermediate
-//! record buffer is reused across tuples, so the conversion moves values in
-//! and out without cloning names or values per emitted tuple — the schema
-//! walk inside the serde remains the paper-faithful per-message cost.
+//! Every record the operator builds shares one column-name table, as Java
+//! Avro records share their schema, so the wrap moves the tuple's values in
+//! and copies no names; the schema walk inside the serde remains the
+//! paper-faithful per-message cost.
 
-use crate::error::{CoreError, Result};
-use crate::tuple::Tuple;
+use crate::error::Result;
+use crate::tuple::{array_to_record, Tuple};
 use samzasql_kafka::Bytes;
-use samzasql_serde::{BoxedSerde, Value};
+use samzasql_serde::BoxedSerde;
 use std::sync::Arc;
 
 /// Encoded output of the insert operator.
@@ -28,10 +28,8 @@ pub struct EncodedOutput {
 /// Terminal operator of the router.
 pub struct InsertOp {
     serde: BoxedSerde,
-    names: Arc<[String]>,
-    /// Reusable `ArrayToAvro` record: names filled once at construction,
-    /// value slots overwritten per tuple.
-    record_buf: Vec<(String, Value)>,
+    /// Output column names, shared by every record the operator builds.
+    names: Arc<Vec<String>>,
     ts_index: Option<usize>,
     /// Column whose object-coded value keys the outgoing message.
     key_index: Option<usize>,
@@ -42,12 +40,9 @@ pub struct InsertOp {
 
 impl InsertOp {
     pub fn new(serde: BoxedSerde, names: Vec<String>, ts_index: Option<usize>) -> Self {
-        let names: Arc<[String]> = names.into();
-        let record_buf = names.iter().map(|n| (n.clone(), Value::Null)).collect();
         InsertOp {
             serde,
-            names,
-            record_buf,
+            names: Arc::new(names),
             ts_index,
             key_index: None,
             key_codec: samzasql_serde::object::ObjectCodec::new(),
@@ -68,14 +63,9 @@ impl InsertOp {
         self
     }
 
-    /// The output column names, shared with anyone who needs them.
-    pub fn names(&self) -> &Arc<[String]> {
-        &self.names
-    }
-
     /// Encode a tuple (`ArrayToAvro` + serialize; or the direct path).
-    /// Takes the tuple by value: column values move into the reusable
-    /// record buffer instead of being cloned.
+    /// Takes the tuple by value: column values move into the record instead
+    /// of being cloned.
     pub fn encode(&mut self, tuple: Tuple) -> Result<EncodedOutput> {
         let timestamp = self
             .ts_index
@@ -89,23 +79,8 @@ impl InsertOp {
         let payload = match &self.direct {
             Some(codec) => Bytes::from(codec.encode_tuple(&tuple)?),
             None => {
-                if tuple.len() != self.names.len() {
-                    return Err(CoreError::Operator(format!(
-                        "arity mismatch: {} values for {} columns",
-                        tuple.len(),
-                        self.names.len()
-                    )));
-                }
-                for (slot, v) in self.record_buf.iter_mut().zip(tuple) {
-                    slot.1 = v;
-                }
-                let record = Value::Record(std::mem::take(&mut self.record_buf));
-                let result = self.serde.serialize(&record).map(Bytes::from);
-                let Value::Record(buf) = record else {
-                    unreachable!()
-                };
-                self.record_buf = buf;
-                result?
+                let record = array_to_record(tuple, &self.names)?;
+                Bytes::from(self.serde.serialize(&record)?)
             }
         };
         Ok(EncodedOutput {
@@ -175,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn record_buffer_is_reused_across_encodes() {
+    fn batch_encodes_survive_an_arity_error() {
         let schema = Schema::record("O", vec![("units", Schema::Int)]);
         let serde = build_serde(SerdeFormat::Avro, schema);
         let mut op = InsertOp::new(serde.clone(), vec!["units".into()], None);
@@ -185,7 +160,7 @@ mod tests {
         assert_eq!(out.len(), 2);
         let second = serde.deserialize(&out[1].payload).unwrap();
         assert_eq!(second.field("units"), Some(&Value::Int(2)));
-        // arity errors must not corrupt the reusable buffer
+        // an arity error fails that tuple only
         assert!(op.encode(vec![Value::Int(1), Value::Int(2)]).is_err());
         let third = op.encode(vec![Value::Int(3)]).unwrap();
         assert_eq!(

@@ -20,7 +20,9 @@ use crate::tuple::Tuple;
 use samzasql_kafka::Bytes;
 use samzasql_parser::ast::JoinKind;
 use samzasql_serde::object::ObjectCodec;
-use samzasql_serde::Value;
+use samzasql_serde::{Record, Value};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Joins a stream against a bootstrap-cached relation.
 pub struct StreamToRelationJoinOp {
@@ -31,8 +33,9 @@ pub struct StreamToRelationJoinOp {
     relation_key: usize,
     /// Relation column names: cache entries are stored as *named* records
     /// through the object codec, reproducing the self-describing (Kryo-like)
-    /// serialization the paper's profiling blames (§5.1).
-    relation_names: Vec<String>,
+    /// serialization the paper's profiling blames (§5.1). One table serves
+    /// every record the operator caches.
+    relation_names: Arc<Vec<String>>,
     /// Output order: stream columns first when true.
     stream_is_left: bool,
     kind: JoinKind,
@@ -56,7 +59,7 @@ impl StreamToRelationJoinOp {
             op_id: op_id.into(),
             stream_key,
             relation_key,
-            relation_names,
+            relation_names: Arc::new(relation_names),
             stream_is_left,
             kind,
             residual,
@@ -103,8 +106,7 @@ impl Operator for StreamToRelationJoinOp {
                     let ck = self.cache_key(&key)?;
                     // Cache as a named record: the generic-object serde writes
                     // class + field names, like Kryo serializing a POJO.
-                    let record =
-                        Value::Record(self.relation_names.iter().cloned().zip(tuple).collect());
+                    let record = Value::Record(Record::new(self.relation_names.clone(), tuple)?);
                     let encoded = self.codec.encode(&record)?;
                     ctx.store()?.put(&ck, Bytes::from(encoded))?;
                 }
@@ -116,8 +118,7 @@ impl Operator for StreamToRelationJoinOp {
             // tombstone), so probe results can be memoized per batch: one
             // store get + Kryo-style decode per distinct key, not per tuple.
             _ => {
-                let mut probes: std::collections::HashMap<Vec<u8>, Option<Tuple>> =
-                    std::collections::HashMap::new();
+                let mut probes: HashMap<Vec<u8>, Option<Tuple>> = HashMap::new();
                 for tuple in input.drain(..) {
                     let key = self.stream_key.eval(&tuple);
                     let ck = self.cache_key(&key)?;
@@ -125,19 +126,22 @@ impl Operator for StreamToRelationJoinOp {
                         let hit = ctx.store()?.get(&ck);
                         let relation = match hit {
                             Some(bytes) => match self.codec.decode(&bytes)? {
-                                Value::Record(fields) => {
+                                Value::Record(record) => {
                                     // Generic-object (Kryo-style) reconstruction:
                                     // the decoded object is accessed through its
                                     // field table by name, not positionally —
                                     // wire order is not trusted, exactly like
                                     // reflective deserialization of a generic
                                     // tuple object.
-                                    let table: std::collections::BTreeMap<String, Value> =
-                                        fields.into_iter().collect();
+                                    let table: BTreeMap<&str, &Value> = record.iter().collect();
                                     Some(
                                         self.relation_names
                                             .iter()
-                                            .map(|n| table.get(n).cloned().unwrap_or(Value::Null))
+                                            .map(|n| {
+                                                table
+                                                    .get(n.as_str())
+                                                    .map_or(Value::Null, |v| (*v).clone())
+                                            })
                                             .collect::<Tuple>(),
                                     )
                                 }

@@ -2,8 +2,10 @@
 //!
 //! The default ([`ScanOp::new`]) is the prototype's path and is where
 //! SamzaSQL pays the `AvroToArray` step of Figure 4: the payload is decoded
-//! through the stream's serde into a generic record, then unwrapped into the
-//! positional array the expression layer uses.
+//! through the stream's serde into a generic record (whose field names are
+//! the codec's shared table, as with Java's `GenericData.Record`), then its
+//! values are copied into a fresh positional array, the tuple the expression
+//! layer uses.
 //!
 //! [`ScanOp::direct`] is the paper's §7 future-work item 5, implemented: a
 //! "SamzaSQL-specific code generation framework which avoids AvroToArray …

@@ -595,7 +595,6 @@ impl SamzaSqlShell {
     /// record count; the decoded partitions are concatenated in partition
     /// order.
     fn read_topic(&self, topic: &str, schema: Schema) -> Result<Vec<Value>> {
-        let codec = AvroCodec::new(schema);
         let mut sized = Vec::new();
         for p in 0..self.broker.partition_count(topic)? {
             let start = self.broker.start_offset(topic, p)?;
@@ -603,6 +602,9 @@ impl SamzaSqlShell {
             sized.push((records, (p, start)));
         }
         let parts = samzasql_samza::largest_first(sized, |(p, start)| {
+            // A codec per partition: its rows share the codec's name table,
+            // and pool threads do not bump one shared reference count.
+            let codec = AvroCodec::new(schema.clone());
             let mut rows = Vec::new();
             decode_partition(&self.broker, topic, p, start, &codec, &mut rows)?;
             Ok::<_, CoreError>(rows)

@@ -7,19 +7,29 @@
 //! conversions (`AvroToArray` / `ArrayToAvro`) are the measured cause of
 //! SamzaSQL's 30–40% filter/project throughput deficit versus native Samza
 //! jobs, so they are real work here, not a simulated delay.
+//!
+//! The record on the Avro side is a [`Record`]: like Java's
+//! `GenericData.Record`, it references a field-name table shared by every
+//! record of one schema, so neither conversion copies field names.
 
 use crate::error::{CoreError, Result};
-use samzasql_serde::Value;
+use samzasql_serde::{Record, Value};
+use std::sync::Arc;
 
 /// The in-memory tuple: one `Value` per column, in schema order.
 pub type Tuple = Vec<Value>;
 
-/// `AvroToArray`: unwrap a decoded record into the positional array the
-/// expression layer operates on. Field order must already match the schema
-/// (the Avro codec guarantees that).
+/// `AvroToArray`: copy a decoded record's field values into a fresh
+/// positional array, the tuple the expression layer operates on. Field
+/// order must already match the schema (the Avro codec guarantees that).
 pub fn record_to_array(value: Value) -> Result<Tuple> {
     match value {
-        Value::Record(fields) => Ok(fields.into_iter().map(|(_, v)| v).collect()),
+        Value::Record(record) => {
+            let values = record.into_values();
+            let mut tuple = Tuple::with_capacity(values.len());
+            tuple.extend(values);
+            Ok(tuple)
+        }
         other => Err(CoreError::Operator(format!(
             "scan expected a record message, got {}",
             other.type_name()
@@ -27,21 +37,12 @@ pub fn record_to_array(value: Value) -> Result<Tuple> {
     }
 }
 
-/// `ArrayToAvro`: rewrap an array tuple as a named record for encoding at
-/// the stream insert operator. Takes the tuple by value so column values
-/// move instead of cloning; only the column names are copied. (The insert
-/// operator's hot path goes further and reuses one record buffer so the
-/// names are cloned once per operator, not once per tuple — see
-/// `ops::insert`.)
-pub fn array_to_record(tuple: Tuple, names: &[String]) -> Result<Value> {
-    if tuple.len() != names.len() {
-        return Err(CoreError::Operator(format!(
-            "arity mismatch: {} values for {} columns",
-            tuple.len(),
-            names.len()
-        )));
-    }
-    Ok(Value::Record(names.iter().cloned().zip(tuple).collect()))
+/// `ArrayToAvro`: wrap an array tuple as a record over the shared name
+/// table `names`, for encoding at the stream insert operator. The column
+/// values move into the record; errors when the tuple's arity differs from
+/// the table's.
+pub fn array_to_record(tuple: Tuple, names: &Arc<Vec<String>>) -> Result<Value> {
+    Ok(Value::Record(Record::new(Arc::clone(names), tuple)?))
 }
 
 #[cfg(test)]
@@ -53,7 +54,8 @@ mod tests {
         let rec = Value::record(vec![("a", Value::Int(1)), ("b", Value::String("x".into()))]);
         let arr = record_to_array(rec.clone()).unwrap();
         assert_eq!(arr, vec![Value::Int(1), Value::String("x".into())]);
-        let back = array_to_record(arr, &["a".to_string(), "b".to_string()]).unwrap();
+        let names = Arc::new(vec!["a".to_string(), "b".to_string()]);
+        let back = array_to_record(arr, &names).unwrap();
         assert_eq!(back, rec);
     }
 
@@ -64,6 +66,7 @@ mod tests {
 
     #[test]
     fn arity_mismatch_rejected() {
-        assert!(array_to_record(vec![Value::Int(1)], &["a".into(), "b".into()]).is_err());
+        let names = Arc::new(vec!["a".to_string(), "b".to_string()]);
+        assert!(array_to_record(vec![Value::Int(1)], &names).is_err());
     }
 }

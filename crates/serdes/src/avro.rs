@@ -13,21 +13,31 @@
 //! * `array`/`map`: varint count + items (single block, no negative-count
 //!   block-size extension)
 //! * `record`: fields in schema order
+//!
+//! Decoded records share field names the way Java's `GenericData.Record`
+//! shares its schema: the codec builds the top-level record's name table
+//! once, and every [`Record`] it decodes holds a reference to it. Nested
+//! records build a table per decode.
 
 use crate::error::{Result, SerdeError};
-use crate::schema::Schema;
-use crate::value::Value;
+use crate::schema::{Field, Schema};
+use crate::value::{Record, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Encode/decode values against a fixed schema.
 #[derive(Debug, Clone)]
 pub struct AvroCodec {
     schema: Schema,
+    /// Field names of a top-level record schema, shared by every record
+    /// [`decode`](Self::decode) returns.
+    names: Option<Arc<Vec<String>>>,
 }
 
 impl AvroCodec {
     pub fn new(schema: Schema) -> Self {
-        AvroCodec { schema }
+        let names = schema.fields().map(name_table);
+        AvroCodec { schema, names }
     }
 
     pub fn schema(&self) -> &Schema {
@@ -44,7 +54,13 @@ impl AvroCodec {
     /// Decode a buffer produced by [`encode`](Self::encode).
     pub fn decode(&self, bytes: &[u8]) -> Result<Value> {
         let mut cursor = Cursor { buf: bytes, pos: 0 };
-        let v = decode_value(&self.schema, &mut cursor)?;
+        let v = match (&self.schema, &self.names) {
+            (Schema::Record { fields, .. }, Some(names)) => Value::Record(Record::new(
+                Arc::clone(names),
+                decode_fields(fields, &mut cursor)?,
+            )?),
+            (schema, _) => decode_value(schema, &mut cursor)?,
+        };
         if cursor.pos != bytes.len() {
             return Err(SerdeError::Corrupt(format!(
                 "{} trailing bytes after value",
@@ -66,10 +82,7 @@ impl AvroCodec {
             });
         };
         let mut cursor = Cursor { buf: bytes, pos: 0 };
-        let mut vals = Vec::with_capacity(fields.len());
-        for f in fields {
-            vals.push(decode_value(&f.schema, &mut cursor)?);
-        }
+        let vals = decode_fields(fields, &mut cursor)?;
         if cursor.pos != bytes.len() {
             return Err(SerdeError::Corrupt(format!(
                 "{} trailing bytes after record",
@@ -194,14 +207,14 @@ fn encode_value(schema: &Schema, value: &Value, out: &mut Vec<u8>) -> Result<()>
             }
             Ok(())
         }
-        (Schema::Record { fields, .. }, Value::Record(vals)) => {
-            if fields.len() != vals.len() {
+        (Schema::Record { fields, .. }, Value::Record(record)) => {
+            if fields.len() != record.len() {
                 return Err(SerdeError::SchemaMismatch {
                     expected: format!("record with {} fields", fields.len()),
-                    found: format!("record with {} fields", vals.len()),
+                    found: format!("record with {} fields", record.len()),
                 });
             }
-            for (f, (_, v)) in fields.iter().zip(vals) {
+            for (f, v) in fields.iter().zip(record.values()) {
                 encode_value(&f.schema, v, out)?;
             }
             Ok(())
@@ -317,14 +330,24 @@ fn decode_value(schema: &Schema, c: &mut Cursor<'_>) -> Result<Value> {
             }
             Ok(Value::Map(m))
         }
-        Schema::Record { fields, .. } => {
-            let mut vals = Vec::with_capacity(fields.len());
-            for f in fields {
-                vals.push((f.name.clone(), decode_value(&f.schema, c)?));
-            }
-            Ok(Value::Record(vals))
-        }
+        Schema::Record { fields, .. } => Ok(Value::Record(Record::new(
+            name_table(fields),
+            decode_fields(fields, c)?,
+        )?)),
     }
+}
+
+/// The values of a record's fields, in schema order.
+fn decode_fields(fields: &[Field], c: &mut Cursor<'_>) -> Result<Vec<Value>> {
+    let mut vals = Vec::with_capacity(fields.len());
+    for f in fields {
+        vals.push(decode_value(&f.schema, c)?);
+    }
+    Ok(vals)
+}
+
+fn name_table(fields: &[Field]) -> Arc<Vec<String>> {
+    Arc::new(fields.iter().map(|f| f.name.clone()).collect())
 }
 
 #[cfg(test)]
@@ -392,6 +415,34 @@ mod tests {
             ("orderId", Value::Long(99)),
             ("units", Value::Int(30)),
             ("pad", Value::String("x".repeat(60))),
+        ]);
+        roundtrip(schema, value);
+    }
+
+    #[test]
+    fn decodes_share_the_codec_name_table() {
+        let codec = AvroCodec::new(Schema::record(
+            "R",
+            vec![("a", Schema::Int), ("b", Schema::String)],
+        ));
+        let v = Value::record(vec![("a", Value::Int(1)), ("b", Value::String("x".into()))]);
+        let bytes = codec.encode(&v).unwrap();
+        let (Value::Record(first), Value::Record(second)) =
+            (codec.decode(&bytes).unwrap(), codec.decode(&bytes).unwrap())
+        else {
+            panic!("a record schema decodes to records");
+        };
+        assert!(Arc::ptr_eq(first.names(), second.names()));
+        assert_eq!(Value::Record(first), v);
+    }
+
+    #[test]
+    fn nested_record_roundtrip() {
+        let inner = Schema::record("I", vec![("x", Schema::Long)]);
+        let schema = Schema::record("O", vec![("i", inner), ("n", Schema::Int)]);
+        let value = Value::record(vec![
+            ("i", Value::record(vec![("x", Value::Long(5))])),
+            ("n", Value::Int(2)),
         ]);
         roundtrip(schema, value);
     }

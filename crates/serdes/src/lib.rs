@@ -48,4 +48,4 @@ pub use error::{Result, SerdeError};
 pub use registry::{RegisteredSchema, SchemaRegistry};
 pub use schema::{Field, Schema};
 pub use serde_api::{BoxedSerde, Serde, SerdeFormat};
-pub use value::Value;
+pub use value::{Record, Value};

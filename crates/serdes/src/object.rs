@@ -16,8 +16,9 @@
 //! EXPERIMENTS.md reports it.
 
 use crate::error::{Result, SerdeError};
-use crate::value::Value;
+use crate::value::{Record, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The "class name" written with every record object, mirroring Kryo's
 /// unregistered-class header.
@@ -126,13 +127,13 @@ fn encode(value: &Value, out: &mut Vec<u8>) {
                 encode(v, out);
             }
         }
-        Value::Record(fields) => {
+        Value::Record(record) => {
             out.push(TAG_RECORD);
             // Kryo-style class registration header: unregistered classes
             // write their fully-qualified name with every object.
             write_str(RECORD_CLASS_NAME, out);
-            write_len(fields.len(), out);
-            for (name, v) in fields {
+            write_len(record.len(), out);
+            for (name, v) in record.iter() {
                 write_str(name, out);
                 encode(v, out);
             }
@@ -223,13 +224,16 @@ fn decode(buf: &[u8], pos: &mut usize) -> Result<Value> {
             if class != RECORD_CLASS_NAME {
                 return Err(SerdeError::Corrupt(format!("unknown record class {class}")));
             }
+            // Unlike the Avro codec, which shares one name table, every
+            // decoded record allocates its own field names.
             let len = read_len(buf, pos)?;
-            let mut fields = Vec::with_capacity(len.min(1024));
+            let mut names = Vec::with_capacity(len.min(1024));
+            let mut values = Vec::with_capacity(len.min(1024));
             for _ in 0..len {
-                let name = read_string(buf, pos)?;
-                fields.push((name, decode(buf, pos)?));
+                names.push(read_string(buf, pos)?);
+                values.push(decode(buf, pos)?);
             }
-            Ok(Value::Record(fields))
+            Ok(Value::Record(Record::new(Arc::new(names), values)?))
         }
         t => Err(SerdeError::Corrupt(format!("unknown type tag {t}"))),
     }
@@ -270,6 +274,19 @@ mod tests {
             let bytes = codec.encode(&v).unwrap();
             assert_eq!(codec.decode(&bytes).unwrap(), v, "roundtrip failed for {v}");
         }
+    }
+
+    #[test]
+    fn records_roundtrip_with_their_names() {
+        let codec = ObjectCodec::new();
+        let v = sample_record();
+        let Value::Record(decoded) = codec.decode(&codec.encode(&v).unwrap()).unwrap() else {
+            panic!("a record decodes to a record");
+        };
+        let names: Vec<&str> = decoded.iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["rowtime", "productId", "orderId", "units", "pad"]);
+        assert_eq!(decoded.get("units"), Some(&Value::Int(30)));
+        assert_eq!(Value::Record(decoded), v);
     }
 
     #[test]

@@ -1,14 +1,19 @@
 //! Runtime values (datums) flowing through operators.
+//!
+//! A [`Record`] is shaped like Avro's Java `GenericData.Record`: a reference
+//! to a field-name table plus one value per field. Every record an
+//! [`AvroCodec`](crate::avro::AvroCodec) decodes shares the table the codec
+//! built from its schema, so decoding allocates no field names; the
+//! self-describing [`crate::object`] codec reads the names off the wire and
+//! builds a table per record, as Kryo does.
 
+use crate::error::{Result, SerdeError};
 use crate::schema::Schema;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A dynamically typed SamzaSQL value.
-///
-/// Records carry their field names so the self-describing [`crate::object`]
-/// codec and ad-hoc debugging work without a schema in hand; the Avro codec
-/// ignores the names and trusts schema order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
@@ -23,18 +28,84 @@ pub enum Value {
     Timestamp(i64),
     Array(Vec<Value>),
     Map(BTreeMap<String, Value>),
-    Record(Vec<(String, Value)>),
+    Record(Record),
+}
+
+/// A record: a shared field-name table and the field values, in the same
+/// order.
+///
+/// The table sits behind an `Arc<Vec<String>>` rather than an
+/// `Arc<[String]>`: the thin pointer keeps [`Value`] at 32 bytes.
+#[derive(Clone, PartialEq)]
+pub struct Record {
+    names: Arc<Vec<String>>,
+    values: Vec<Value>,
+}
+
+impl Record {
+    /// A record over `names`, one value per name. Errors when the counts
+    /// differ.
+    pub fn new(names: Arc<Vec<String>>, values: Vec<Value>) -> Result<Record> {
+        if names.len() != values.len() {
+            return Err(SerdeError::SchemaMismatch {
+                expected: format!("record with {} fields", names.len()),
+                found: format!("{} values", values.len()),
+            });
+        }
+        Ok(Record { names, values })
+    }
+
+    /// The field-name table, shared with every record built over it.
+    pub fn names(&self) -> &Arc<Vec<String>> {
+        &self.names
+    }
+
+    /// The field values, in field order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The field values, in field order, without the names.
+    pub fn into_values(self) -> Vec<Value> {
+        self.values
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// True for a record without fields.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Field value by name.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
+    /// `(name, value)` pairs in field order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.names.iter().map(String::as_str).zip(&self.values)
+    }
+}
+
+/// Formats as the list of `(name, value)` pairs.
+impl std::fmt::Debug for Record {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl Value {
     /// Convenience constructor for records.
     pub fn record(fields: Vec<(&str, Value)>) -> Value {
-        Value::Record(
-            fields
-                .into_iter()
-                .map(|(n, v)| (n.to_string(), v))
-                .collect(),
-        )
+        let (names, values) = fields.into_iter().map(|(n, v)| (n.to_string(), v)).unzip();
+        Value::Record(Record {
+            names: Arc::new(names),
+            values,
+        })
     }
 
     /// True if this is SQL NULL.
@@ -45,7 +116,7 @@ impl Value {
     /// Record field by name.
     pub fn field(&self, name: &str) -> Option<&Value> {
         match self {
-            Value::Record(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, v)| v),
+            Value::Record(record) => record.get(name),
             _ => None,
         }
     }
@@ -146,12 +217,12 @@ impl Value {
                     .map(Value::infer_schema)
                     .unwrap_or(Schema::Null),
             )),
-            Value::Record(fields) => Schema::Record {
+            Value::Record(record) => Schema::Record {
                 name: "inferred".into(),
-                fields: fields
+                fields: record
                     .iter()
                     .map(|(n, v)| crate::schema::Field {
-                        name: n.clone(),
+                        name: n.to_string(),
                         schema: v.infer_schema(),
                     })
                     .collect(),
@@ -196,9 +267,9 @@ impl std::fmt::Display for Value {
                 }
                 write!(f, "}}")
             }
-            Value::Record(fields) => {
+            Value::Record(record) => {
                 write!(f, "(")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
+                for (i, (k, v)) in record.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
@@ -247,6 +318,47 @@ mod tests {
         assert_eq!(v.field("a"), Some(&Value::Int(1)));
         assert_eq!(v.field("c"), None);
         assert_eq!(Value::Int(1).field("a"), None);
+    }
+
+    /// 32 bytes keeps a tuple of five Orders columns in 160 bytes. An
+    /// `Arc<[String]>` name table (a fat pointer) made `Value` 40 bytes, and
+    /// that slowed the sliding-window job, which moves whole tuples in and
+    /// out of its per-group state.
+    #[test]
+    fn value_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+    }
+
+    #[test]
+    fn record_new_rejects_an_arity_mismatch() {
+        let names = Arc::new(vec!["a".to_string(), "b".to_string()]);
+        assert!(matches!(
+            Record::new(names.clone(), vec![Value::Int(1)]),
+            Err(SerdeError::SchemaMismatch { .. })
+        ));
+        let r = Record::new(names, vec![Value::Int(1), Value::Null]).unwrap();
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.get("b"), Some(&Value::Null));
+    }
+
+    #[test]
+    fn records_compare_by_names_and_values() {
+        let names = Arc::new(vec!["a".to_string()]);
+        let shared = Record::new(names, vec![Value::Int(1)]).unwrap();
+        assert_eq!(
+            Value::Record(shared.clone()),
+            Value::record(vec![("a", Value::Int(1))])
+        );
+        assert_ne!(
+            Value::Record(shared),
+            Value::record(vec![("b", Value::Int(1))])
+        );
+    }
+
+    #[test]
+    fn debug_lists_name_value_pairs() {
+        let v = Value::record(vec![("a", Value::Int(1))]);
+        assert_eq!(format!("{v:?}"), r#"Record([("a", Int(1))])"#);
     }
 
     #[test]

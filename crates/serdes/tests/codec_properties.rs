@@ -65,11 +65,12 @@ fn record(rng: &mut Rng) -> (Schema, Value) {
             })
             .collect(),
     };
-    let value = Value::Record(
-        fields
-            .into_iter()
-            .enumerate()
-            .map(|(i, (_, v))| (format!("f{i}"), v))
+    let names: Vec<String> = (0..fields.len()).map(|i| format!("f{i}")).collect();
+    let value = Value::record(
+        names
+            .iter()
+            .map(String::as_str)
+            .zip(fields.into_iter().map(|(_, v)| v))
             .collect(),
     );
     (schema, value)
