@@ -45,6 +45,17 @@ if grep -rnF 'Vec<(String, Value)>' crates/serdes crates/core/src; then
   echo "ci.sh: a record that owns its field names is back" >&2
   exit 1
 fi
+# One allocation per message buffer: `Bytes` is a single `Arc<[u8]>`, not an
+# `Arc` around a `Vec` (two allocations and two pointer hops per read).
+if grep -rnF 'Arc<Vec<u8>>' crates/kafka/src; then
+  echo "ci.sh: a two-allocation byte buffer is back in samzasql-kafka" >&2
+  exit 1
+fi
+# Injected latency is recorded, never slept: no wall-clock sleep option.
+if grep -rnw 'real_sleeps' crates src tests examples docs; then
+  echo "ci.sh: the deleted real-sleep fault option is back" >&2
+  exit 1
+fi
 # The benchmark package (perfbench/) lives outside the workspace but builds
 # against its crates: a workspace API change that breaks it fails here, not
 # in the perf gate. It has no lockfile of its own, so it runs without

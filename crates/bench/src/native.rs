@@ -21,6 +21,11 @@
 //!   profiling found >2× slower, §5.1).
 //! * **Sliding window**: the same Algorithm-1 logic, hand-written over
 //!   records, storing the already-encoded Avro payload bytes directly.
+//!
+//! Like the SQL insert operator, every native task encodes into one buffer
+//! it reuses and copies each finished payload once, and shares its output
+//! topic name with every envelope it sends, so neither path pays an
+//! allocation the other does not.
 
 use samzasql_kafka::Bytes;
 use samzasql_samza::{
@@ -31,23 +36,32 @@ use samzasql_serde::avro::AvroCodec;
 use samzasql_serde::object::ObjectCodec;
 use samzasql_serde::{Schema, Value};
 use samzasql_workload::{orders_schema, products_schema};
+use std::sync::Arc;
 
 /// Store name used by the stateful native tasks.
 pub const NATIVE_STORE: &str = "native-state";
+
+/// Encode a positional record into the task's reused `buf`, then copy it
+/// into one exact-size payload.
+fn encode_payload(codec: &AvroCodec, buf: &mut Vec<u8>, fields: &[Value]) -> Result<Bytes> {
+    buf.clear();
+    codec.encode_tuple_into(fields, buf)?;
+    Ok(Bytes::copy_from_slice(buf))
+}
 
 // --------------------------------------------------------------- filter
 
 /// `SELECT STREAM * FROM Orders WHERE units > 50`, native API.
 pub struct NativeFilterTask {
     codec: AvroCodec,
-    output: String,
+    output: Arc<str>,
 }
 
 impl NativeFilterTask {
     pub fn new(output: &str) -> Self {
         NativeFilterTask {
             codec: AvroCodec::new(orders_schema()),
-            output: output.to_string(),
+            output: output.into(),
         }
     }
 }
@@ -66,7 +80,7 @@ impl StreamTask for NativeFilterTask {
         if units > 50 {
             // Forward the incoming Avro payload unchanged.
             collector.send(
-                OutgoingMessageEnvelope::new(self.output.clone(), envelope.payload.clone())
+                OutgoingMessageEnvelope::new(Arc::clone(&self.output), envelope.payload.clone())
                     .at(envelope.timestamp),
             );
         }
@@ -80,7 +94,8 @@ impl StreamTask for NativeFilterTask {
 pub struct NativeProjectTask {
     in_codec: AvroCodec,
     out_codec: AvroCodec,
-    output: String,
+    output: Arc<str>,
+    buf: Vec<u8>,
 }
 
 /// Output schema of the projection.
@@ -100,7 +115,8 @@ impl NativeProjectTask {
         NativeProjectTask {
             in_codec: AvroCodec::new(orders_schema()),
             out_codec: AvroCodec::new(project_output_schema()),
-            output: output.to_string(),
+            output: output.into(),
+            buf: Vec::new(),
         }
     }
 }
@@ -116,13 +132,13 @@ impl StreamTask for NativeProjectTask {
         let record = self.in_codec.decode_to_tuple(&envelope.payload)?;
         // Build the projected Avro record directly from the decoded fields
         // (SpecificRecord getters → SpecificRecord constructor).
-        let payload = self.out_codec.encode_tuple(&[
-            record[0].clone(),
-            record[1].clone(),
-            record[3].clone(),
-        ])?;
+        let payload = encode_payload(
+            &self.out_codec,
+            &mut self.buf,
+            &[record[0].clone(), record[1].clone(), record[3].clone()],
+        )?;
         collector.send(
-            OutgoingMessageEnvelope::new(self.output.clone(), payload).at(envelope.timestamp),
+            OutgoingMessageEnvelope::new(Arc::clone(&self.output), payload).at(envelope.timestamp),
         );
         Ok(())
     }
@@ -138,7 +154,8 @@ pub struct NativeJoinTask {
     out_codec: AvroCodec,
     key_codec: ObjectCodec,
     products_topic: String,
-    output: String,
+    output: Arc<str>,
+    buf: Vec<u8>,
 }
 
 /// Output schema of the join.
@@ -163,7 +180,8 @@ impl NativeJoinTask {
             out_codec: AvroCodec::new(join_output_schema()),
             key_codec: ObjectCodec::new(),
             products_topic: products_topic.to_string(),
-            output: output.to_string(),
+            output: output.into(),
+            buf: Vec::new(),
         }
     }
 }
@@ -204,15 +222,19 @@ impl StreamTask for NativeJoinTask {
             return Ok(());
         };
         let product = self.products_codec.decode_to_tuple(&product_bytes)?;
-        let payload = self.out_codec.encode_tuple(&[
-            order[0].clone(),
-            order[2].clone(),
-            order[1].clone(),
-            order[3].clone(),
-            product[2].clone(),
-        ])?;
+        let payload = encode_payload(
+            &self.out_codec,
+            &mut self.buf,
+            &[
+                order[0].clone(),
+                order[2].clone(),
+                order[1].clone(),
+                order[3].clone(),
+                product[2].clone(),
+            ],
+        )?;
         collector.send(
-            OutgoingMessageEnvelope::new(self.output.clone(), payload).at(envelope.timestamp),
+            OutgoingMessageEnvelope::new(Arc::clone(&self.output), payload).at(envelope.timestamp),
         );
         Ok(())
     }
@@ -225,7 +247,8 @@ impl StreamTask for NativeJoinTask {
 pub struct NativeSlidingWindowTask {
     in_codec: AvroCodec,
     out_codec: AvroCodec,
-    output: String,
+    output: Arc<str>,
+    buf: Vec<u8>,
     window_ms: i64,
     seq: u64,
 }
@@ -248,7 +271,8 @@ impl NativeSlidingWindowTask {
         NativeSlidingWindowTask {
             in_codec: AvroCodec::new(orders_schema()),
             out_codec: AvroCodec::new(sliding_output_schema()),
-            output: output.to_string(),
+            output: output.into(),
+            buf: Vec::new(),
             window_ms,
             seq: 0,
         }
@@ -305,14 +329,18 @@ impl StreamTask for NativeSlidingWindowTask {
         sum += units;
         store.put(&agg_key, Bytes::copy_from_slice(&sum.to_le_bytes()))?;
 
-        let payload = self.out_codec.encode_tuple(&[
-            Value::Timestamp(ts),
-            Value::Int(product as i32),
-            Value::Int(units as i32),
-            Value::Long(sum),
-        ])?;
+        let payload = encode_payload(
+            &self.out_codec,
+            &mut self.buf,
+            &[
+                Value::Timestamp(ts),
+                Value::Int(product as i32),
+                Value::Int(units as i32),
+                Value::Long(sum),
+            ],
+        )?;
         collector.send(
-            OutgoingMessageEnvelope::new(self.output.clone(), payload).at(envelope.timestamp),
+            OutgoingMessageEnvelope::new(Arc::clone(&self.output), payload).at(envelope.timestamp),
         );
         Ok(())
     }

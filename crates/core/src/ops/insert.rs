@@ -9,8 +9,14 @@
 //! Avro records share their schema, so the wrap moves the tuple's values in
 //! and copies no names; the schema walk inside the serde remains the
 //! paper-faithful per-message cost.
+//!
+//! The operator serializes into one buffer it owns and reuses, then copies
+//! the finished bytes into the outgoing payload: each payload (and each
+//! object-coded key) is one exact-size allocation, with no growth
+//! reallocation on the way.
 
 use crate::error::Result;
+use crate::ops::encode_once;
 use crate::tuple::{array_to_record, Tuple};
 use samzasql_kafka::Bytes;
 use samzasql_serde::BoxedSerde;
@@ -36,6 +42,8 @@ pub struct InsertOp {
     key_codec: samzasql_serde::object::ObjectCodec,
     /// §7 item 5: encode the array tuple directly, skipping `ArrayToAvro`.
     direct: Option<samzasql_serde::avro::AvroCodec>,
+    /// Encode buffer, cleared and reused for every key and payload.
+    buf: Vec<u8>,
 }
 
 impl InsertOp {
@@ -47,6 +55,7 @@ impl InsertOp {
             key_index: None,
             key_codec: samzasql_serde::object::ObjectCodec::new(),
             direct: None,
+            buf: Vec::new(),
         }
     }
 
@@ -73,16 +82,18 @@ impl InsertOp {
             .and_then(|v| v.as_i64())
             .unwrap_or(0);
         let key = match self.key_index.and_then(|i| tuple.get(i)) {
-            Some(v) => Some(Bytes::from(self.key_codec.encode(v)?)),
+            Some(v) => Some(encode_once(&self.key_codec, v, &mut self.buf)?),
             None => None,
         };
-        let payload = match &self.direct {
-            Some(codec) => Bytes::from(codec.encode_tuple(&tuple)?),
+        self.buf.clear();
+        match &self.direct {
+            Some(codec) => codec.encode_tuple_into(&tuple, &mut self.buf)?,
             None => {
                 let record = array_to_record(tuple, &self.names)?;
-                Bytes::from(self.serde.serialize(&record)?)
+                self.serde.serialize_into(&record, &mut self.buf)?;
             }
-        };
+        }
+        let payload = Bytes::copy_from_slice(&self.buf);
         Ok(EncodedOutput {
             payload,
             timestamp,
@@ -136,6 +147,31 @@ mod tests {
         assert_eq!(out.timestamp, 42);
         let decoded = serde.deserialize(&out.payload).unwrap();
         assert_eq!(decoded.field("units"), Some(&Value::Int(7)));
+    }
+
+    #[test]
+    fn reused_buffer_writes_the_codecs_bytes() {
+        let schema = Schema::record(
+            "O",
+            vec![("rowtime", Schema::Timestamp), ("pad", Schema::String)],
+        );
+        let codec = samzasql_serde::avro::AvroCodec::new(schema.clone());
+        let names = vec!["rowtime".to_string(), "pad".to_string()];
+        let serde = build_serde(SerdeFormat::Avro, schema);
+        let keyed = InsertOp::new(serde.clone(), names.clone(), None).with_key(1);
+        let direct = InsertOp::new(serde, names, None).with_direct(codec.clone());
+        let key_codec = samzasql_serde::object::ObjectCodec::new();
+        for (mut op, has_key) in [(keyed, true), (direct, false)] {
+            // A long row, then a short one: the buffer is cleared, not appended to.
+            for pad in ["x".repeat(300), "y".to_string()] {
+                let tuple = vec![Value::Timestamp(5), Value::String(pad)];
+                let out = op.encode(tuple.clone()).unwrap();
+                assert_eq!(&out.payload[..], &codec.encode_tuple(&tuple).unwrap()[..]);
+                let key = out.key.map(|k| k.to_vec());
+                let expected = has_key.then(|| key_codec.encode(&tuple[1]).unwrap());
+                assert_eq!(key, expected);
+            }
+        }
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! The cache values are serialized through the **generic object codec** —
 //! the Kryo stand-in — which is precisely the serde the paper's profiling
 //! blames for the join running ~2× slower than the native Avro-based
-//! implementation (§5.1). Every stream tuple pays one store `get` plus an
-//! object decode.
+//! implementation (§5.1). Every distinct key of a stream batch pays one
+//! store `get` plus an object decode.
 
 use crate::error::Result;
 use crate::expr::CompiledExpr;
-use crate::ops::{OpCtx, Operator, Side};
+use crate::ops::{encode_once, OpCtx, Operator, Side};
 use crate::tuple::Tuple;
-use samzasql_kafka::Bytes;
 use samzasql_parser::ast::JoinKind;
 use samzasql_serde::object::ObjectCodec;
 use samzasql_serde::{Record, Value};
@@ -42,6 +41,8 @@ pub struct StreamToRelationJoinOp {
     /// Residual predicate over the combined row.
     residual: Option<CompiledExpr>,
     codec: ObjectCodec,
+    /// Encode buffer reused for every cached relation record.
+    buf: Vec<u8>,
 }
 
 impl StreamToRelationJoinOp {
@@ -64,6 +65,7 @@ impl StreamToRelationJoinOp {
             kind,
             residual,
             codec: ObjectCodec::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -107,8 +109,8 @@ impl Operator for StreamToRelationJoinOp {
                     // Cache as a named record: the generic-object serde writes
                     // class + field names, like Kryo serializing a POJO.
                     let record = Value::Record(Record::new(self.relation_names.clone(), tuple)?);
-                    let encoded = self.codec.encode(&record)?;
-                    ctx.store()?.put(&ck, Bytes::from(encoded))?;
+                    let encoded = encode_once(&self.codec, &record, &mut self.buf)?;
+                    ctx.store()?.put(&ck, encoded)?;
                 }
                 Ok(())
             }

@@ -9,9 +9,8 @@
 
 use crate::error::Result;
 use crate::expr::CompiledExpr;
-use crate::ops::{encode_i64, OpCtx, Operator, Side};
+use crate::ops::{encode_i64, encode_once, OpCtx, Operator, Side};
 use crate::tuple::Tuple;
-use samzasql_kafka::Bytes;
 use samzasql_parser::ast::JoinKind;
 use samzasql_serde::object::ObjectCodec;
 use samzasql_serde::Value;
@@ -30,6 +29,8 @@ pub struct StreamToStreamJoinOp {
     upper_ms: i64,
     residual: Option<CompiledExpr>,
     codec: ObjectCodec,
+    /// Encode buffer reused for every stored tuple.
+    buf: Vec<u8>,
     seq: u64,
 }
 
@@ -61,6 +62,7 @@ impl StreamToStreamJoinOp {
             upper_ms,
             residual,
             codec: ObjectCodec::new(),
+            buf: Vec::new(),
             seq: 0,
         })
     }
@@ -166,8 +168,8 @@ impl StreamToStreamJoinOp {
         own_key.extend_from_slice(&encode_i64(ts));
         own_key.extend_from_slice(&self.seq.to_be_bytes());
         self.seq += 1;
-        let encoded = self.codec.encode(&Value::Array(tuple))?;
-        ctx.store()?.put(&own_key, Bytes::from(encoded))?;
+        let encoded = encode_once(&self.codec, &Value::Array(tuple), &mut self.buf)?;
+        ctx.store()?.put(&own_key, encoded)?;
         Ok(())
     }
 }

@@ -23,7 +23,10 @@ pub mod window_sliding;
 
 use crate::error::Result;
 use crate::tuple::Tuple;
+use samzasql_kafka::Bytes;
 use samzasql_samza::KeyValueStore;
+use samzasql_serde::object::ObjectCodec;
+use samzasql_serde::Value;
 
 /// Name of the shared task-local state store.
 pub const STATE_STORE: &str = "samzasql-state";
@@ -102,6 +105,14 @@ pub trait Operator: Send {
 /// window starts.
 pub fn encode_i64(v: i64) -> [u8; 8] {
     ((v as u64) ^ (1u64 << 63)).to_be_bytes()
+}
+
+/// Object-encode `value` into the operator's reused `buf`, then copy it into
+/// one exact-size allocation (a store value or a message key).
+pub(crate) fn encode_once(codec: &ObjectCodec, value: &Value, buf: &mut Vec<u8>) -> Result<Bytes> {
+    buf.clear();
+    codec.encode_into(value, buf)?;
+    Ok(Bytes::copy_from_slice(buf))
 }
 
 /// Inverse of [`encode_i64`].

@@ -24,7 +24,7 @@
 use crate::error::Result;
 use crate::expr::CompiledExpr;
 use crate::ops::acc::{accs_from_value, accs_to_value, Acc, CompiledAgg};
-use crate::ops::{decode_i64, encode_i64, OpCtx, Operator, Side};
+use crate::ops::{decode_i64, encode_i64, encode_once, OpCtx, Operator, Side};
 use crate::tuple::Tuple;
 use samzasql_kafka::Bytes;
 use samzasql_planner::GroupWindow;
@@ -46,6 +46,8 @@ pub struct WindowAggOp {
     keys: Vec<CompiledExpr>,
     aggs: Vec<CompiledAgg>,
     codec: ObjectCodec,
+    /// Encode buffer reused for every store value.
+    buf: Vec<u8>,
 }
 
 impl WindowAggOp {
@@ -61,6 +63,7 @@ impl WindowAggOp {
             keys,
             aggs,
             codec: ObjectCodec::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -112,11 +115,11 @@ impl WindowAggOp {
     }
 
     /// Write dirty cached accumulators back to the store.
-    fn flush_cache(&self, cache: &mut AccCache, ctx: &mut OpCtx<'_>) -> Result<()> {
+    fn flush_cache(&mut self, cache: &mut AccCache, ctx: &mut OpCtx<'_>) -> Result<()> {
         for (k, (accs, dirty)) in cache.iter_mut() {
             if *dirty {
-                let encoded = self.codec.encode(&accs_to_value(accs))?;
-                ctx.store()?.put(k, Bytes::from(encoded))?;
+                let encoded = encode_once(&self.codec, &accs_to_value(accs), &mut self.buf)?;
+                ctx.store()?.put(k, encoded)?;
                 *dirty = false;
             }
         }
@@ -200,8 +203,8 @@ impl Operator for WindowAggOp {
                 }
             }
             for (key, accs) in &groups {
-                let encoded = self.codec.encode(&accs_to_value(accs))?;
-                ctx.store()?.put(key, Bytes::from(encoded))?;
+                let encoded = encode_once(&self.codec, &accs_to_value(accs), &mut self.buf)?;
+                ctx.store()?.put(key, encoded)?;
             }
             return Ok(());
         };

@@ -26,9 +26,8 @@
 use crate::error::Result;
 use crate::expr::CompiledExpr;
 use crate::ops::acc::{accs_from_value, accs_to_value, Acc, CompiledAgg};
-use crate::ops::{encode_i64, OpCtx, Operator, Side};
+use crate::ops::{encode_i64, encode_once, OpCtx, Operator, Side};
 use crate::tuple::Tuple;
-use samzasql_kafka::Bytes;
 use samzasql_serde::object::ObjectCodec;
 use samzasql_serde::Value;
 use std::collections::BTreeMap;
@@ -48,6 +47,8 @@ pub struct SlidingWindowOp {
     rows: Option<u64>,
     aggs: Vec<CompiledAgg>,
     codec: ObjectCodec,
+    /// Encode buffer reused for every store value.
+    buf: Vec<u8>,
 }
 
 impl SlidingWindowOp {
@@ -67,6 +68,7 @@ impl SlidingWindowOp {
             rows,
             aggs,
             codec: ObjectCodec::new(),
+            buf: Vec::new(),
         }
     }
 
@@ -157,9 +159,10 @@ impl Operator for SlidingWindowOp {
             let mut msg_key = prefix.clone();
             msg_key.extend_from_slice(&encode_i64(ts));
             msg_key.extend_from_slice(&seq.to_be_bytes());
-            let encoded_msg = self.codec.encode(&Value::Array(tuple.clone()))?;
+            let encoded_msg =
+                encode_once(&self.codec, &Value::Array(tuple.clone()), &mut self.buf)?;
             let store = ctx.store()?;
-            store.put(&msg_key, Bytes::from(encoded_msg))?;
+            store.put(&msg_key, encoded_msg)?;
 
             // Purge expired messages, adjusting aggregates (lines 8–9).
             let mut need_recompute = false;
@@ -249,8 +252,8 @@ impl Operator for SlidingWindowOp {
                 Value::Long(*seq as i64),
                 Value::Long(*max_ts),
             ]);
-            let encoded = self.codec.encode(&state)?;
-            ctx.store()?.put(&state_key, Bytes::from(encoded))?;
+            let encoded = encode_once(&self.codec, &state, &mut self.buf)?;
+            ctx.store()?.put(&state_key, encoded)?;
         }
         Ok(())
     }

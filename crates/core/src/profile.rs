@@ -81,6 +81,17 @@ pub struct RouterProfiler {
     pub(crate) clock: Arc<dyn TimeSource>,
     pub(crate) nodes: Vec<NodeProfile>,
     pub(crate) entries: Vec<EntryProfile>,
+    /// Per-entry rows, bytes and tombstones decoded in the current batch,
+    /// added to `entries` once per batch by `flush_scan_tally`.
+    pub(crate) scan_tally: Vec<ScanTally>,
+}
+
+/// One scan entry's plain counts for the batch being routed.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ScanTally {
+    pub rows: u64,
+    pub bytes: u64,
+    pub tombstones: u64,
 }
 
 impl RouterProfiler {
@@ -89,6 +100,22 @@ impl RouterProfiler {
             clock,
             nodes: (0..node_count).map(|_| NodeProfile::default()).collect(),
             entries: (0..entry_count).map(|_| EntryProfile::default()).collect(),
+            scan_tally: vec![ScanTally::default(); entry_count],
+        }
+    }
+
+    /// Add the batch's scan counts to the entry instruments (three relaxed
+    /// atomic adds per entry that saw a message) and reset them.
+    pub(crate) fn flush_scan_tally(&mut self) {
+        for (tally, live) in self.scan_tally.iter_mut().zip(&self.entries) {
+            let t = std::mem::take(tally);
+            if t.rows > 0 {
+                live.rows.add(t.rows);
+                live.bytes.add(t.bytes);
+            }
+            if t.tombstones > 0 {
+                live.tombstones.add(t.tombstones);
+            }
         }
     }
 }

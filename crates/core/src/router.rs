@@ -471,6 +471,28 @@ impl MessageRouter {
         mut store: Option<&mut KeyValueStore>,
         outputs: &mut Vec<EncodedOutput>,
     ) -> Result<()> {
+        let scanned = self.scan_messages(topic, messages, &mut store);
+        // Scan counts reach the instruments once per batch, also when a
+        // message failed to decode part-way through it.
+        if let Some(p) = &mut self.profiler {
+            p.flush_scan_tally();
+        }
+        scanned?;
+        self.run_dag(&mut store)?;
+        let mut sink = std::mem::take(&mut self.sink);
+        let result = self.insert.encode_batch(&mut sink, outputs);
+        self.sink = sink;
+        result
+    }
+
+    /// Decode each message through every scan entry of `topic` into its
+    /// destination buffer; relation tombstones are applied in order.
+    fn scan_messages<'a>(
+        &mut self,
+        topic: &str,
+        messages: impl IntoIterator<Item = (Option<&'a Bytes>, &'a Bytes)>,
+        store: &mut Option<&mut KeyValueStore>,
+    ) -> Result<()> {
         for (key, payload) in messages {
             for ei in 0..self.entries.len() {
                 if self.entries[ei].topic != topic {
@@ -480,22 +502,23 @@ impl MessageRouter {
                 let is_relation = self.entries[ei].is_relation;
                 match self.entries[ei].scan.decode(payload)? {
                     Some(tuple) => {
-                        if let Some(p) = &self.profiler {
-                            p.entries[ei].rows.inc();
-                            p.entries[ei].bytes.add(payload.len() as u64);
+                        if let Some(p) = &mut self.profiler {
+                            let t = &mut p.scan_tally[ei];
+                            t.rows += 1;
+                            t.bytes += payload.len() as u64;
                         }
                         self.push_dest(dest, tuple)
                     }
                     None => {
-                        if let Some(p) = &self.profiler {
-                            p.entries[ei].tombstones.inc();
+                        if let Some(p) = &mut self.profiler {
+                            p.scan_tally[ei].tombstones += 1;
                         }
                         // Tombstone: only meaningful for relation caches.
                         if is_relation {
                             if let (Some((node, side)), Some(k)) = (dest, key) {
                                 // Drain buffered tuples so pre-tombstone
                                 // probes see the pre-delete cache state.
-                                self.run_dag(&mut store)?;
+                                self.run_dag(store)?;
                                 let mut staged = std::mem::take(&mut self.scratch);
                                 {
                                     let mut ctx = OpCtx {
@@ -518,11 +541,7 @@ impl MessageRouter {
                 }
             }
         }
-        self.run_dag(&mut store)?;
-        let mut sink = std::mem::take(&mut self.sink);
-        let result = self.insert.encode_batch(&mut sink, outputs);
-        self.sink = sink;
-        result
+        Ok(())
     }
 
     /// Route one incoming message through the DAG; returns encoded outputs

@@ -35,7 +35,8 @@ pub enum TaskPlanSource {
 /// The generated streaming task executing one query (stage).
 pub struct SamzaSqlTask {
     job_name: String,
-    output_topic: String,
+    /// Shared with every outgoing envelope (a refcount bump per message).
+    output_topic: Arc<str>,
     coord: Coord,
     source: TaskPlanSource,
     udafs: Arc<UdafRegistry>,
@@ -53,7 +54,7 @@ pub struct SamzaSqlTask {
 impl SamzaSqlTask {
     pub fn new(
         job_name: impl Into<String>,
-        output_topic: impl Into<String>,
+        output_topic: impl Into<Arc<str>>,
         coord: Coord,
         source: TaskPlanSource,
         udafs: Arc<UdafRegistry>,
@@ -81,7 +82,7 @@ impl SamzaSqlTask {
     /// Drain `out_buf` into the collector as outgoing envelopes.
     fn send_outputs(&mut self, collector: &mut MessageCollector) {
         for out in self.out_buf.drain(..) {
-            let mut env = OutgoingMessageEnvelope::new(self.output_topic.clone(), out.payload)
+            let mut env = OutgoingMessageEnvelope::new(Arc::clone(&self.output_topic), out.payload)
                 .at(out.timestamp);
             if let Some(k) = out.key {
                 env = env.keyed(k);
@@ -154,7 +155,7 @@ impl StreamTask for SamzaSqlTask {
         _coordinator: &mut TaskCoordinator,
     ) -> SamzaResult<usize> {
         let router = self.router.as_mut().expect("init ran before process");
-        let mut store = ctx.store_mut(STATE_STORE).ok();
+        let mut store = ctx.optional_store_mut(STATE_STORE);
         // Route each consecutive same-topic run as one batch.
         let mut i = 0;
         while i < envelopes.len() {
@@ -187,7 +188,7 @@ impl StreamTask for SamzaSqlTask {
             return Ok(());
         }
         let router = self.router.as_mut().expect("init ran before window");
-        let store = ctx.store_mut(STATE_STORE).ok();
+        let store = ctx.optional_store_mut(STATE_STORE);
         router
             .flush_into(store, &mut self.out_buf)
             .map_err(SamzaError::from)?;
@@ -211,7 +212,7 @@ impl TaskFactory for SamzaSqlTaskFactory {
     fn create(&self, _partition: u32) -> Box<dyn StreamTask> {
         let task = SamzaSqlTask::new(
             self.job_name.clone(),
-            self.output_topic.clone(),
+            self.output_topic.as_str(),
             self.coord.clone(),
             self.source.clone(),
             self.udafs.clone(),

@@ -17,6 +17,7 @@ use samzasql_serde::object::ObjectCodec;
 use samzasql_serde::Value;
 use samzasql_testkit::Rng;
 use samzasql_workload::{orders_schema, products_schema};
+use std::sync::Arc;
 
 fn planner() -> Planner {
     let mut catalog = Catalog::new();
@@ -152,6 +153,18 @@ fn run_batched(
     let mut router = build_router(sql);
     let mut store = KeyValueStore::ephemeral("batched");
     let mut outputs = Vec::new();
+    route_in_random_splits(&mut router, &mut store, messages, rng, &mut outputs);
+    router.flush_into(Some(&mut store), &mut outputs).unwrap();
+    fingerprint(&outputs)
+}
+
+fn route_in_random_splits(
+    router: &mut MessageRouter,
+    store: &mut KeyValueStore,
+    messages: &[(&'static str, Message)],
+    rng: &mut Rng,
+    outputs: &mut Vec<samzasql_core::ops::insert::EncodedOutput>,
+) {
     let mut i = 0;
     while i < messages.len() {
         let batch = (1 + rng.below(17) as usize).min(messages.len() - i);
@@ -167,16 +180,14 @@ fn run_batched(
                 .route_batch(
                     topic,
                     slice[j..k].iter().map(|(_, m)| (m.key.as_ref(), &m.value)),
-                    Some(&mut store),
-                    &mut outputs,
+                    Some(store),
+                    outputs,
                 )
                 .unwrap();
             j = k;
         }
         i += batch;
     }
-    router.flush_into(Some(&mut store), &mut outputs).unwrap();
-    fingerprint(&outputs)
 }
 
 fn check_equivalence(sql: &str, with_products: bool, seed: u64) {
@@ -222,13 +233,53 @@ fn sliding_window_batched_equals_per_message() {
     );
 }
 
+const JOIN: &str = "SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId, \
+     Orders.units, Products.supplierId \
+     FROM Orders JOIN Products ON Orders.productId = Products.productId";
+
 #[test]
 fn stream_to_relation_join_batched_equals_per_message() {
-    check_equivalence(
-        "SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId, \
-         Orders.units, Products.supplierId \
-         FROM Orders JOIN Products ON Orders.productId = Products.productId",
-        true,
-        17,
-    );
+    check_equivalence(JOIN, true, 17);
+}
+
+/// The profiler tallies scan rows, bytes and tombstones per batch and adds
+/// them to its counters once per `route_batch`; the totals are still those
+/// of every message routed, whatever the batch splits.
+#[test]
+fn profiled_scan_counts_are_the_per_message_totals() {
+    let messages = input_sequence(&mut Rng::new(23), 300, true);
+    let mut expected: Vec<(String, u64, u64, u64)> = ["orders", "products-changelog"]
+        .iter()
+        .map(|topic| {
+            let payloads = messages.iter().filter(|(t, _)| t == topic);
+            let (tombstones, rows): (Vec<_>, Vec<_>) =
+                payloads.partition(|(_, m)| m.value.is_empty());
+            let bytes = rows.iter().map(|(_, m)| m.value.len() as u64).sum();
+            (
+                topic.to_string(),
+                rows.len() as u64,
+                bytes,
+                tombstones.len() as u64,
+            )
+        })
+        .collect();
+    expected.sort();
+    assert!(expected.iter().all(|e| e.1 > 0) && expected[1].3 > 0);
+    for seed in [1, 2, 3] {
+        let mut router = build_router(JOIN);
+        router.enable_profiling(Arc::new(samzasql_obs::MonotonicTime::new()));
+        let mut store = KeyValueStore::ephemeral("profiled");
+        let mut outputs = Vec::new();
+        let mut rng = Rng::new(seed);
+        route_in_random_splits(&mut router, &mut store, &messages, &mut rng, &mut outputs);
+        let mut counted: Vec<(String, u64, u64, u64)> = router
+            .profile()
+            .unwrap()
+            .entries
+            .into_iter()
+            .map(|e| (e.topic, e.rows, e.bytes, e.tombstones))
+            .collect();
+        counted.sort();
+        assert_eq!(counted, expected, "split seed {seed}");
+    }
 }

@@ -63,9 +63,8 @@ pub enum FaultKind {
     /// Return [`KafkaError::PartitionUnavailable`] (retriable) — models a
     /// partition whose replicas are all offline for the schedule's duration.
     Unavailable,
-    /// Record `ms` of injected latency (and really sleep when the injector
-    /// is configured with [`FaultInjector::real_sleeps`]); the operation
-    /// then proceeds normally.
+    /// Record `ms` of injected latency without sleeping, so chaos runs stay
+    /// fast; the operation then proceeds normally.
     Latency { ms: u64 },
 }
 
@@ -148,7 +147,6 @@ pub struct FaultInjector {
     /// intercepted call whether or not a fault fires.
     counters: Mutex<HashMap<(TopicPartition, FaultOp), u64>>,
     pub metrics: FaultMetrics,
-    real_sleeps: bool,
 }
 
 impl FaultInjector {
@@ -158,7 +156,6 @@ impl FaultInjector {
             specs: Mutex::new(Vec::new()),
             counters: Mutex::new(HashMap::new()),
             metrics: FaultMetrics::default(),
-            real_sleeps: false,
         }
     }
 
@@ -167,13 +164,6 @@ impl FaultInjector {
         let inj = FaultInjector::new(seed);
         *inj.specs.lock().unwrap() = specs;
         Arc::new(inj)
-    }
-
-    /// Make latency faults really sleep (off by default: latency is
-    /// recorded, not paid, so chaos tests stay fast).
-    pub fn real_sleeps(mut self, on: bool) -> Self {
-        self.real_sleeps = on;
-        self
     }
 
     pub fn seed(&self) -> u64 {
@@ -248,9 +238,6 @@ impl FaultInjector {
                 FaultKind::Latency { ms } => {
                     self.metrics.latency_events.inc();
                     self.metrics.injected_latency_ms.add(*ms);
-                    if self.real_sleeps {
-                        std::thread::sleep(std::time::Duration::from_millis(*ms));
-                    }
                 }
             }
         }

@@ -515,14 +515,14 @@ impl Container {
         }
         // Partition counts, looked up once per distinct topic per flush
         // (every lookup takes the broker's topic-map lock).
-        let mut counts: Vec<(String, u32)> = Vec::new();
+        let mut counts: Vec<(Arc<str>, u32)> = Vec::new();
         for env in scratch.iter_mut() {
             if env.partition.is_none() {
-                let count = match counts.iter().find(|(topic, _)| *topic == env.topic) {
+                let count = match counts.iter().find(|(topic, _)| **topic == *env.topic) {
                     Some(&(_, count)) => count,
                     None => {
                         let count = broker.partition_count(&env.topic)?;
-                        counts.push((env.topic.clone(), count));
+                        counts.push((Arc::clone(&env.topic), count));
                         count
                     }
                 };
@@ -532,16 +532,15 @@ impl Container {
                 });
             }
         }
-        scratch
-            .sort_by(|a, b| (a.topic.as_str(), a.partition).cmp(&(b.topic.as_str(), b.partition)));
+        scratch.sort_by(|a, b| (&*a.topic, a.partition).cmp(&(&*b.topic, b.partition)));
         let mut i = 0;
         while i < scratch.len() {
-            let topic = scratch[i].topic.clone();
+            let topic = Arc::clone(&scratch[i].topic);
             let partition = scratch[i].partition.expect("resolved above");
             let mut run: Vec<Message> = Vec::new();
             let mut j = i;
             while j < scratch.len()
-                && scratch[j].topic == topic
+                && *scratch[j].topic == *topic
                 && scratch[j].partition == Some(partition)
             {
                 let env = &mut scratch[j];

@@ -180,7 +180,7 @@ impl KeyValueStore {
             .pending
             .iter()
             .map(|(key, value)| Message {
-                key: Some(Bytes::from(key.clone())),
+                key: Some(Bytes::copy_from_slice(key)),
                 value: value.clone(),
                 timestamp: 0,
             })

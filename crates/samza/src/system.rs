@@ -24,7 +24,9 @@ pub struct IncomingMessageEnvelope {
 /// A message a task wants to send, like Samza's `OutgoingMessageEnvelope`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutgoingMessageEnvelope {
-    pub topic: String,
+    /// Destination topic; a task that sends many messages to one topic
+    /// holds it as an `Arc<str>` and shares it with every envelope.
+    pub topic: Arc<str>,
     /// Explicit partition; `None` lets the producer's partitioner decide
     /// (hash of key when present).
     pub partition: Option<u32>,
@@ -34,7 +36,7 @@ pub struct OutgoingMessageEnvelope {
 }
 
 impl OutgoingMessageEnvelope {
-    pub fn new(topic: impl Into<String>, payload: impl Into<Bytes>) -> Self {
+    pub fn new(topic: impl Into<Arc<str>>, payload: impl Into<Bytes>) -> Self {
         OutgoingMessageEnvelope {
             topic: topic.into(),
             partition: None,

@@ -77,9 +77,14 @@ impl TaskContext {
 
     /// Borrow a store mutably by name.
     pub fn store_mut(&mut self, name: &str) -> Result<&mut KeyValueStore> {
-        self.stores
-            .get_mut(name)
+        self.optional_store_mut(name)
             .ok_or_else(|| crate::error::SamzaError::UnknownStore(name.to_string()))
+    }
+
+    /// Borrow a store mutably by name, if the task has one; unlike
+    /// [`store_mut`](Self::store_mut), a missing store builds no error.
+    pub fn optional_store_mut(&mut self, name: &str) -> Option<&mut KeyValueStore> {
+        self.stores.get_mut(name)
     }
 
     /// Borrow a store by name.

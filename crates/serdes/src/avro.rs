@@ -47,8 +47,14 @@ impl AvroCodec {
     /// Encode `value` against the codec's schema.
     pub fn encode(&self, value: &Value) -> Result<Vec<u8>> {
         let mut buf = Vec::with_capacity(64);
-        encode_value(&self.schema, value, &mut buf)?;
+        self.encode_into(value, &mut buf)?;
         Ok(buf)
+    }
+
+    /// Append the encoding of `value` to `out`, so a caller can reuse one
+    /// buffer across messages. On error `out` may hold a partial encoding.
+    pub fn encode_into(&self, value: &Value, out: &mut Vec<u8>) -> Result<()> {
+        encode_value(&self.schema, value, out)
     }
 
     /// Decode a buffer produced by [`encode`](Self::encode).
@@ -96,6 +102,15 @@ impl AvroCodec {
     /// schema — the inverse of [`decode_to_tuple`](Self::decode_to_tuple)
     /// (the insert operator's `ArrayToAvro` without intermediate naming).
     pub fn encode_tuple(&self, tuple: &[Value]) -> Result<Vec<u8>> {
+        let mut buf = Vec::with_capacity(64);
+        self.encode_tuple_into(tuple, &mut buf)?;
+        Ok(buf)
+    }
+
+    /// Append the encoding of a positional tuple to `out` (see
+    /// [`encode_tuple`](Self::encode_tuple) and
+    /// [`encode_into`](Self::encode_into)).
+    pub fn encode_tuple_into(&self, tuple: &[Value], out: &mut Vec<u8>) -> Result<()> {
         let Schema::Record { fields, .. } = &self.schema else {
             return Err(SerdeError::SchemaMismatch {
                 expected: "record".into(),
@@ -108,11 +123,10 @@ impl AvroCodec {
                 found: format!("tuple with {} values", tuple.len()),
             });
         }
-        let mut buf = Vec::with_capacity(64);
         for (f, v) in fields.iter().zip(tuple) {
-            encode_value(&f.schema, v, &mut buf)?;
+            encode_value(&f.schema, v, out)?;
         }
-        Ok(buf)
+        Ok(())
     }
 }
 

@@ -49,8 +49,15 @@ impl ObjectCodec {
     /// Encode any value without a schema.
     pub fn encode(&self, value: &Value) -> Result<Vec<u8>> {
         let mut buf = Vec::with_capacity(128);
-        encode(value, &mut buf);
+        self.encode_into(value, &mut buf)?;
         Ok(buf)
+    }
+
+    /// Append the encoding of `value` to `out`, so a caller can reuse one
+    /// buffer across values.
+    pub fn encode_into(&self, value: &Value, out: &mut Vec<u8>) -> Result<()> {
+        encode(value, out);
+        Ok(())
     }
 
     /// Decode a buffer produced by [`encode`](Self::encode).

@@ -15,6 +15,14 @@ use std::sync::Arc;
 pub trait Serde: Send + Sync {
     /// Serialize a value to bytes.
     fn serialize(&self, value: &Value) -> Result<Vec<u8>>;
+    /// Append the serialized value to `out`, so a caller can reuse one
+    /// buffer across messages. The wire bytes are those of
+    /// [`serialize`](Self::serialize); the built-in formats write straight
+    /// into `out`.
+    fn serialize_into(&self, value: &Value, out: &mut Vec<u8>) -> Result<()> {
+        out.extend_from_slice(&self.serialize(value)?);
+        Ok(())
+    }
     /// Deserialize bytes back to a value.
     fn deserialize(&self, bytes: &[u8]) -> Result<Value>;
     /// Format name for configuration and diagnostics.
@@ -44,6 +52,9 @@ impl Serde for AvroCodec {
     fn serialize(&self, value: &Value) -> Result<Vec<u8>> {
         self.encode(value)
     }
+    fn serialize_into(&self, value: &Value, out: &mut Vec<u8>) -> Result<()> {
+        self.encode_into(value, out)
+    }
     fn deserialize(&self, bytes: &[u8]) -> Result<Value> {
         self.decode(bytes)
     }
@@ -55,6 +66,9 @@ impl Serde for AvroCodec {
 impl Serde for ObjectCodec {
     fn serialize(&self, value: &Value) -> Result<Vec<u8>> {
         self.encode(value)
+    }
+    fn serialize_into(&self, value: &Value, out: &mut Vec<u8>) -> Result<()> {
+        self.encode_into(value, out)
     }
     fn deserialize(&self, bytes: &[u8]) -> Result<Value> {
         self.decode(bytes)
@@ -86,6 +100,26 @@ mod tests {
             assert_eq!(serde.format(), format);
             let bytes = serde.serialize(&v).unwrap();
             assert_eq!(serde.deserialize(&bytes).unwrap(), v, "format {format}");
+        }
+    }
+
+    #[test]
+    fn serialize_into_appends_the_serialized_bytes() {
+        let schema = Schema::record("R", vec![("a", Schema::Int), ("b", Schema::String)]);
+        let v = Value::record(vec![
+            ("a", Value::Int(-3)),
+            ("b", Value::String("yz".into())),
+        ]);
+        for format in [SerdeFormat::Avro, SerdeFormat::Object] {
+            let serde = build_serde(format, schema.clone());
+            let mut buf = vec![0xAB];
+            serde.serialize_into(&v, &mut buf).unwrap();
+            assert_eq!(buf[0], 0xAB, "format {format}: appends");
+            assert_eq!(
+                buf[1..],
+                serde.serialize(&v).unwrap()[..],
+                "format {format}"
+            );
         }
     }
 
