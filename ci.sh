@@ -56,6 +56,12 @@ if grep -rnw 'real_sleeps' crates src tests examples docs; then
   echo "ci.sh: the deleted real-sleep fault option is back" >&2
   exit 1
 fi
+# One Vec per partition log: no segments, retention, append-time clock, or
+# I/O throttle (the broker never waited on its debt).
+if grep -rnwE 'SegmentConfig|enforce_retention|append_time|IoThrottle|set_throttle' crates src tests examples docs; then
+  echo "ci.sh: a deleted log segment, retention, or throttle name is back" >&2
+  exit 1
+fi
 # The benchmark package (perfbench/) lives outside the workspace but builds
 # against its crates: a workspace API change that breaks it fails here, not
 # in the perf gate. It has no lockfile of its own, so it runs without

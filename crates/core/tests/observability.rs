@@ -7,13 +7,12 @@
 
 use samzasql_core::ops::STATE_STORE;
 use samzasql_core::shell::SamzaSqlShell;
-use samzasql_kafka::{Broker, FaultInjector, FaultKind, FaultSchedule, FaultSpec, IoThrottle};
+use samzasql_kafka::{Broker, FaultInjector, FaultKind, FaultSchedule, FaultSpec};
 use samzasql_obs::MetricValue;
 use samzasql_serde::Value;
 use samzasql_testkit::Rng;
 use samzasql_workload::{orders_schema, products_schema};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Shell over a fresh broker with the paper's Orders stream and Products
 /// table registered and seeded with deterministic data.
@@ -243,10 +242,6 @@ fn published_series(shell: &SamzaSqlShell) -> BTreeSet<Series> {
 #[test]
 fn the_four_shapes_publish_exactly_the_documented_series() {
     let broker = Broker::new();
-    // A terabyte of burst credit: the throttle publishes its series and
-    // never stalls.
-    let throttle = IoThrottle::new(broker.metrics_registry(), 1 << 30, 1 << 40);
-    broker.set_throttle(Some(Arc::new(throttle)));
     let mut shell = seeded_shell(broker, 41, 200);
     shell.profile_operators = true;
     for sql in [FILTER, PROJECT, SLIDING_WINDOW, S2R_JOIN] {

@@ -1,10 +1,8 @@
-//! End-to-end tests for hopping windows with alignment and the EC2-throttle
-//! anecdote from §5.1.
+//! End-to-end tests for hopping windows with alignment.
 
 use samzasql_core::shell::SamzaSqlShell;
-use samzasql_kafka::{Broker, IoThrottle, TopicConfig};
+use samzasql_kafka::{Broker, TopicConfig};
 use samzasql_serde::{Schema, Value};
-use std::sync::Arc;
 use std::time::Duration;
 
 fn orders_shell() -> SamzaSqlShell {
@@ -87,40 +85,4 @@ fn hop_alignment_handles_records_before_offset() {
     assert_eq!(rows[0].field("start_0"), Some(&Value::Timestamp(-5_000)));
     assert_eq!(rows[0].field("count_1"), Some(&Value::Long(1)));
     handle.stop().unwrap();
-}
-
-/// §5.1: "Sliding window implementation reads/writes from/to key-value
-/// store multiple times causing EC2 to throttle access to disk after a
-/// couple of minutes." The broker's burst-credit throttle reproduces the
-/// mechanism: sustained traffic exhausts credits and accumulates stall debt.
-#[test]
-fn sustained_kv_traffic_exhausts_burst_credits() {
-    let broker = Broker::new();
-    // 1 MB/s, 5 MB burst
-    let throttle = Arc::new(IoThrottle::new(
-        broker.metrics_registry(),
-        1_000_000,
-        5_000_000,
-    ));
-    broker.set_throttle(Some(throttle.clone()));
-    broker
-        .create_topic("t", TopicConfig::with_partitions(1))
-        .unwrap();
-    // Simulate the changelog traffic of a KV-heavy window job: ~100-byte
-    // writes, far above the sustained rate.
-    let payload = vec![0u8; 100];
-    for _ in 0..100_000 {
-        broker
-            .produce(
-                "t",
-                0,
-                samzasql_kafka::Message::new(samzasql_kafka::Bytes::copy_from_slice(&payload)),
-            )
-            .unwrap();
-    }
-    assert!(
-        throttle.is_throttling(),
-        "10 MB of traffic against a 5 MB burst pool must exhaust credits"
-    );
-    assert_eq!(throttle.credits(), 0);
 }

@@ -2,13 +2,13 @@
 
 use crate::error::{FaultOp, KafkaError, Result};
 use crate::fault::FaultInjector;
-use crate::log::FetchResult;
+use crate::log::{FetchResult, PartitionLog};
 use crate::message::{Message, TopicPartition};
 use crate::replication::{AckMode, ReplicaSet};
-use crate::throttle::IoThrottle;
 use crate::topic::{Topic, TopicConfig};
 use samzasql_obs::{Counter, MetricsRegistry};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
@@ -30,7 +30,6 @@ struct BrokerInner {
     /// [`Broker::metrics_registry`]).
     registry: MetricsRegistry,
     counters: BrokerCounters,
-    throttle: RwLock<Option<Arc<IoThrottle>>>,
     /// Seeded fault injector intercepting produce/fetch (off by default).
     injector: RwLock<Option<Arc<FaultInjector>>>,
     /// True once any topic was created with `replication_factor > 1`. Lets
@@ -129,7 +128,6 @@ impl Broker {
                 replicas: Mutex::new(HashMap::new()),
                 counters: BrokerCounters::new(&registry),
                 registry,
-                throttle: RwLock::new(None),
                 injector: RwLock::new(None),
                 has_replicated: AtomicBool::new(false),
                 appends: AppendSignal::default(),
@@ -139,18 +137,9 @@ impl Broker {
 
     /// The deployment's metrics registry. The broker's own series live
     /// here, and everything built over this broker — containers, their
-    /// tasks and stores, throttles, the shell — mints its instruments
-    /// here.
+    /// tasks and stores, the shell — mints its instruments here.
     pub fn metrics_registry(&self) -> &MetricsRegistry {
         &self.inner.registry
-    }
-
-    /// Install an I/O throttle applied to all produce traffic (simulates the
-    /// EC2 burst-credit behaviour; off by default). Build it over
-    /// [`metrics_registry`](Self::metrics_registry) so §5.1-style
-    /// throttling shows up in snapshots.
-    pub fn set_throttle(&self, throttle: Option<Arc<IoThrottle>>) {
-        *self.inner.throttle.write().unwrap() = throttle;
     }
 
     /// Install (or remove) a seeded fault injector. While installed, every
@@ -176,6 +165,37 @@ impl Broker {
             }
         }
         Ok(())
+    }
+
+    /// Run `f` on one partition's log; unknown topics and partitions fail
+    /// before `f` runs.
+    fn with_log<R>(
+        &self,
+        topic: &str,
+        partition: u32,
+        f: impl FnOnce(&RwLock<PartitionLog>) -> Result<R>,
+    ) -> Result<R> {
+        let t = self
+            .topic(topic)
+            .ok_or_else(|| KafkaError::UnknownTopic(topic.to_string()))?;
+        let log = t
+            .partition(partition)
+            .ok_or_else(|| unknown_partition(topic, partition))?;
+        f(log)
+    }
+
+    /// Run `f` on one partition's replica set, under the replicas lock.
+    fn with_replicas<R>(
+        &self,
+        topic: &str,
+        partition: u32,
+        f: impl FnOnce(&mut ReplicaSet) -> Result<R>,
+    ) -> Result<R> {
+        let mut reps = self.inner.replicas.lock().unwrap();
+        let rs = reps
+            .get_mut(&TopicPartition::new(topic, partition))
+            .ok_or_else(|| unknown_partition(topic, partition))?;
+        f(rs)
     }
 
     /// Election + ack gate for one partition. While a leader election is
@@ -294,34 +314,14 @@ impl Broker {
         message: Message,
         acks: AckMode,
     ) -> Result<u64> {
-        let t = self
-            .topic(topic)
-            .ok_or_else(|| KafkaError::UnknownTopic(topic.to_string()))?;
-        let log = t
-            .partition(partition)
-            .ok_or_else(|| KafkaError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            })?;
-        self.intercept(FaultOp::Produce, topic, partition)?;
-        self.check_leader_and_acks(topic, partition, acks)?;
-        let bytes = message.payload_len() as u64;
-        if let Some(throttle) = self.inner.throttle.read().unwrap().clone() {
-            // Benchmarks feed a wall-clock derived logical time; unit tests
-            // can interrogate the throttle directly. Debt is informational.
-            let _ = throttle.charge(bytes, 0.0);
-        }
-        let offset = log.write().unwrap().append(message);
-        self.inner.counters.messages_in.inc();
-        self.inner.counters.bytes_in.add(bytes);
-        self.inner.appends.bump();
-        Ok(offset)
+        let offsets = self.append(topic, partition, acks, std::iter::once(message))?;
+        Ok(offsets.start)
     }
 
     /// Append a batch of messages to one partition, acquiring the partition
-    /// log's write lock once for the whole batch (and checking acks /
-    /// charging the throttle once). Returns the assigned offsets in input
-    /// order — consecutive, since the lock is held across the batch.
+    /// log's write lock once for the whole batch (and checking acks once).
+    /// Returns the assigned offsets in input order — consecutive, since the
+    /// lock is held across the batch.
     pub fn produce_batch(
         &self,
         topic: &str,
@@ -332,31 +332,34 @@ impl Broker {
         if messages.is_empty() {
             return Ok(Vec::new());
         }
-        let t = self
-            .topic(topic)
-            .ok_or_else(|| KafkaError::UnknownTopic(topic.to_string()))?;
-        let log = t
-            .partition(partition)
-            .ok_or_else(|| KafkaError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            })?;
-        self.intercept(FaultOp::Produce, topic, partition)?;
-        self.check_leader_and_acks(topic, partition, acks)?;
-        let count = messages.len() as u64;
-        let bytes: u64 = messages.iter().map(|m| m.payload_len() as u64).sum();
-        if let Some(throttle) = self.inner.throttle.read().unwrap().clone() {
-            let _ = throttle.charge(bytes, 0.0);
-        }
-        let mut offsets = Vec::with_capacity(messages.len());
-        {
+        Ok(self.append(topic, partition, acks, messages)?.collect())
+    }
+
+    /// The one append path: fault and ack gates, then every message under
+    /// one write lock, then the traffic counters and one append signal.
+    /// Returns the range of assigned offsets.
+    fn append(
+        &self,
+        topic: &str,
+        partition: u32,
+        acks: AckMode,
+        messages: impl IntoIterator<Item = Message>,
+    ) -> Result<Range<u64>> {
+        let (offsets, bytes) = self.with_log(topic, partition, |log| {
+            self.intercept(FaultOp::Produce, topic, partition)?;
+            self.check_leader_and_acks(topic, partition, acks)?;
             let mut log = log.write().unwrap();
+            let first = log.end_offset();
+            let mut bytes = 0u64;
             for message in messages {
-                offsets.push(log.append(message));
+                bytes += message.payload_len() as u64;
+                log.append(message);
             }
-        }
-        self.inner.counters.messages_in.add(count);
-        self.inner.counters.bytes_in.add(bytes);
+            Ok((first..log.end_offset(), bytes))
+        })?;
+        let counters = &self.inner.counters;
+        counters.messages_in.add(offsets.end - offsets.start);
+        counters.bytes_in.add(bytes);
         self.inner.appends.bump();
         Ok(offsets)
     }
@@ -370,18 +373,11 @@ impl Broker {
         offset: u64,
         max_records: usize,
     ) -> Result<FetchResult> {
-        let t = self
-            .topic(topic)
-            .ok_or_else(|| KafkaError::UnknownTopic(topic.to_string()))?;
-        let log = t
-            .partition(partition)
-            .ok_or_else(|| KafkaError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            })?;
-        self.intercept(FaultOp::Fetch, topic, partition)?;
-        self.check_leader_and_acks(topic, partition, AckMode::None)?;
-        let mut result = log.read().unwrap().fetch(offset, max_records)?;
+        let mut result = self.with_log(topic, partition, |log| {
+            self.intercept(FaultOp::Fetch, topic, partition)?;
+            self.check_leader_and_acks(topic, partition, AckMode::None)?;
+            log.read().unwrap().fetch(offset, max_records)
+        })?;
         if self.inner.has_replicated.load(Ordering::Relaxed) {
             // Cap visibility at the high watermark: records not yet
             // replicated to the ISR could still be truncated by a leader
@@ -403,34 +399,16 @@ impl Broker {
         Ok(result)
     }
 
-    /// Earliest retained offset of a partition.
+    /// First offset of a partition ("log start offset").
     pub fn start_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        let t = self
-            .topic(topic)
-            .ok_or_else(|| KafkaError::UnknownTopic(topic.to_string()))?;
-        let log = t
-            .partition(partition)
-            .ok_or_else(|| KafkaError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            })?;
-        let off = log.read().unwrap().start_offset();
-        Ok(off)
+        self.with_log(topic, partition, |log| {
+            Ok(log.read().unwrap().start_offset())
+        })
     }
 
     /// Offset one past the newest record of a partition ("log end offset").
     pub fn end_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        let t = self
-            .topic(topic)
-            .ok_or_else(|| KafkaError::UnknownTopic(topic.to_string()))?;
-        let log = t
-            .partition(partition)
-            .ok_or_else(|| KafkaError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            })?;
-        let off = log.read().unwrap().end_offset();
-        Ok(off)
+        self.with_log(topic, partition, |log| Ok(log.read().unwrap().end_offset()))
     }
 
     /// Advance the replication simulation for every partition (followers
@@ -491,69 +469,41 @@ impl Broker {
     /// Returns the new leader epoch. Errors with `NotEnoughReplicas` when no
     /// in-sync follower exists to promote.
     pub fn fail_leader(&self, topic: &str, partition: u32) -> Result<u64> {
-        let t = self
-            .topic(topic)
-            .ok_or_else(|| KafkaError::UnknownTopic(topic.to_string()))?;
-        let log = t
-            .partition(partition)
-            .ok_or_else(|| KafkaError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            })?;
-        let mut reps = self.inner.replicas.lock().unwrap();
-        let rs = reps
-            .get_mut(&TopicPartition::new(topic, partition))
-            .ok_or_else(|| KafkaError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            })?;
-        // Lock order everywhere is replicas -> log.
-        let mut log = log.write().unwrap();
-        let committed = rs.fail_leader(log.end_offset(), topic, partition)?;
-        log.truncate_to(committed);
-        self.inner.counters.leader_epoch_bumps.inc();
-        Ok(rs.leader_epoch())
+        self.with_log(topic, partition, |log| {
+            self.with_replicas(topic, partition, |rs| {
+                // Lock order everywhere is replicas -> log.
+                let mut log = log.write().unwrap();
+                let committed = rs.fail_leader(log.end_offset(), topic, partition)?;
+                log.truncate_to(committed);
+                self.inner.counters.leader_epoch_bumps.inc();
+                Ok(rs.leader_epoch())
+            })
+        })
     }
 
     /// Fail follower `idx` of a partition's replica set (it stops
     /// replicating and leaves the ISR).
     pub fn fail_follower(&self, topic: &str, partition: u32, idx: usize) -> Result<()> {
-        let mut reps = self.inner.replicas.lock().unwrap();
-        let rs = reps
-            .get_mut(&TopicPartition::new(topic, partition))
-            .ok_or_else(|| KafkaError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            })?;
-        if rs.fail_follower(idx, true) {
-            self.inner.counters.isr_shrinks.inc();
-        }
-        Ok(())
+        self.with_replicas(topic, partition, |rs| {
+            if rs.fail_follower(idx, true) {
+                self.inner.counters.isr_shrinks.inc();
+            }
+            Ok(())
+        })
     }
 
     /// Restore a previously failed follower; it rejoins the ISR once caught
     /// up via [`replication_tick`](Broker::replication_tick).
     pub fn restore_follower(&self, topic: &str, partition: u32, idx: usize) -> Result<()> {
-        let mut reps = self.inner.replicas.lock().unwrap();
-        let rs = reps
-            .get_mut(&TopicPartition::new(topic, partition))
-            .ok_or_else(|| KafkaError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            })?;
-        rs.restore_follower(idx);
-        Ok(())
+        self.with_replicas(topic, partition, |rs| {
+            rs.restore_follower(idx);
+            Ok(())
+        })
     }
 
     /// Current leader epoch of a partition (0 until the first failover).
     pub fn leader_epoch(&self, topic: &str, partition: u32) -> Result<u64> {
-        let reps = self.inner.replicas.lock().unwrap();
-        reps.get(&TopicPartition::new(topic, partition))
-            .map(|rs| rs.leader_epoch())
-            .ok_or_else(|| KafkaError::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            })
+        self.with_replicas(topic, partition, |rs| Ok(rs.leader_epoch()))
     }
 
     /// The committed offset (high watermark) of a partition — the highest
@@ -561,6 +511,13 @@ impl Broker {
     pub fn high_watermark(&self, topic: &str, partition: u32) -> Result<u64> {
         let end = self.end_offset(topic, partition)?;
         Ok(self.visible_end(topic, partition, end))
+    }
+}
+
+fn unknown_partition(topic: &str, partition: u32) -> KafkaError {
+    KafkaError::UnknownPartition {
+        topic: topic.to_string(),
+        partition,
     }
 }
 
@@ -581,7 +538,6 @@ impl std::fmt::Debug for Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::SegmentConfig;
     use crate::replication::ReplicationConfig;
 
     #[test]
@@ -652,15 +608,13 @@ mod tests {
     #[test]
     fn acks_all_with_lagging_isr_fails_until_tick() {
         let b = Broker::new();
-        let cfg = TopicConfig::with_partitions(1)
-            .segment(SegmentConfig::default())
-            .replication(ReplicationConfig {
-                replication_factor: 2,
-                min_insync_replicas: 2,
-                records_per_tick: 100,
-                max_lag_records: 1,
-                ..ReplicationConfig::default()
-            });
+        let cfg = TopicConfig::with_partitions(1).replication(ReplicationConfig {
+            replication_factor: 2,
+            min_insync_replicas: 2,
+            records_per_tick: 100,
+            max_lag_records: 1,
+            ..ReplicationConfig::default()
+        });
         b.create_topic("t", cfg).unwrap();
         // Push the follower behind by producing with leader acks.
         for _ in 0..5 {

@@ -2,10 +2,10 @@
 //!
 //! A [`FaultInjector`] installed on a [`Broker`](crate::Broker) intercepts
 //! every produce and fetch *before* the log is touched and, per policy,
-//! turns it into a transient error, an unavailability window, or a latency
-//! spike. Fail-fast interception means injected produce failures never
-//! partially append — the retry loops above never duplicate records because
-//! of the injector itself.
+//! turns it into a transient error or an unavailability window. Fail-fast
+//! interception means injected produce failures never partially append —
+//! the retry loops above never duplicate records because of the injector
+//! itself.
 //!
 //! **Determinism.** Decisions are a pure function of
 //! `(seed, topic, partition, op, per-partition op index)` — no shared RNG
@@ -63,9 +63,6 @@ pub enum FaultKind {
     /// Return [`KafkaError::PartitionUnavailable`] (retriable) — models a
     /// partition whose replicas are all offline for the schedule's duration.
     Unavailable,
-    /// Record `ms` of injected latency without sleeping, so chaos runs stay
-    /// fast; the operation then proceeds normally.
-    Latency { ms: u64 },
 }
 
 /// One injection rule: which operations it applies to and what it does.
@@ -123,8 +120,6 @@ impl FaultSpec {
 pub struct FaultMetrics {
     pub injected_errors: Counter,
     pub unavailable_hits: Counter,
-    pub latency_events: Counter,
-    pub injected_latency_ms: Counter,
 }
 
 fn fnv1a_str(s: &str) -> u64 {
@@ -137,12 +132,13 @@ fn fnv1a_str(s: &str) -> u64 {
 }
 
 /// The injector itself. Install on a broker with
-/// [`Broker::set_fault_injector`](crate::Broker::set_fault_injector); specs
-/// can be pushed while traffic is flowing (chaos events do exactly that).
+/// [`Broker::set_fault_injector`](crate::Broker::set_fault_injector); its
+/// specs are fixed when it is built, so a chaos event that changes the
+/// faults installs a new injector.
 #[derive(Debug)]
 pub struct FaultInjector {
     seed: u64,
-    specs: Mutex<Vec<FaultSpec>>,
+    specs: Vec<FaultSpec>,
     /// Per-(topic-partition, op) operation indices, advanced on every
     /// intercepted call whether or not a fault fires.
     counters: Mutex<HashMap<(TopicPartition, FaultOp), u64>>,
@@ -150,10 +146,11 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
+    /// An injector with no specs: it only counts operations.
     pub fn new(seed: u64) -> Self {
         FaultInjector {
             seed,
-            specs: Mutex::new(Vec::new()),
+            specs: Vec::new(),
             counters: Mutex::new(HashMap::new()),
             metrics: FaultMetrics::default(),
         }
@@ -161,27 +158,15 @@ impl FaultInjector {
 
     /// Shared handle with the given seed and specs.
     pub fn with_specs(seed: u64, specs: Vec<FaultSpec>) -> Arc<Self> {
-        let inj = FaultInjector::new(seed);
-        *inj.specs.lock().unwrap() = specs;
-        Arc::new(inj)
+        Arc::new(FaultInjector {
+            specs,
+            ..FaultInjector::new(seed)
+        })
     }
 
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Add a spec while traffic is flowing.
-    pub fn push_spec(&self, spec: FaultSpec) {
-        self.specs.lock().unwrap().push(spec);
-    }
-
-    /// Remove every spec (the injector becomes a transparent pass-through).
-    pub fn clear_specs(&self) {
-        self.specs.lock().unwrap().clear();
-    }
-
-    /// Operations intercepted so far for `(topic, partition, op)` — chaos
-    /// events use this to open [`FaultSchedule::Window`]s "from now on".
+    /// Operations intercepted so far for `(topic, partition, op)`: the index
+    /// the next such operation gets. A fresh injector starts every index at
+    /// 0, so a [`FaultSchedule::Window`] from 0 covers the next operations.
     pub fn op_count(&self, topic: &str, partition: u32, op: FaultOp) -> u64 {
         self.counters
             .lock()
@@ -192,9 +177,8 @@ impl FaultInjector {
     }
 
     /// Intercept one operation: advance the per-partition index, evaluate
-    /// specs in order, and return the first firing error (latency specs
-    /// record and fall through). Called by the broker before touching the
-    /// log.
+    /// specs in order, and return the first firing error. Called by the
+    /// broker before touching the log.
     pub fn intercept(&self, op: FaultOp, topic: &str, partition: u32) -> Result<()> {
         let index = {
             let mut counters = self.counters.lock().unwrap();
@@ -211,8 +195,7 @@ impl FaultInjector {
                 FaultOp::Produce => 0x50,
                 FaultOp::Fetch => 0xf0,
             };
-        let specs = self.specs.lock().unwrap().clone();
-        for spec in &specs {
+        for spec in &self.specs {
             if !spec.matches(op, topic, partition) {
                 continue;
             }
@@ -234,10 +217,6 @@ impl FaultInjector {
                         topic: topic.to_string(),
                         partition,
                     });
-                }
-                FaultKind::Latency { ms } => {
-                    self.metrics.latency_events.inc();
-                    self.metrics.injected_latency_ms.add(*ms);
                 }
             }
         }
@@ -322,22 +301,6 @@ mod tests {
         assert!(inj.intercept(FaultOp::Produce, "orders", 0).is_ok());
         assert!(inj.intercept(FaultOp::Produce, "other", 1).is_ok());
         assert!(inj.intercept(FaultOp::Fetch, "orders", 1).is_ok());
-    }
-
-    #[test]
-    fn latency_records_and_passes_through() {
-        let inj = FaultInjector::with_specs(
-            1,
-            vec![FaultSpec::any(
-                FaultKind::Latency { ms: 25 },
-                FaultSchedule::EveryNth(2),
-            )],
-        );
-        for _ in 0..4 {
-            assert!(inj.intercept(FaultOp::Produce, "t", 0).is_ok());
-        }
-        assert_eq!(inj.metrics.latency_events.get(), 2);
-        assert_eq!(inj.metrics.injected_latency_ms.get(), 50);
     }
 
     #[test]

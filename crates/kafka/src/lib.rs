@@ -10,15 +10,16 @@
 //!   an append-only, time-ordered, immutable sequence of records addressed by
 //!   a dense, monotonically increasing **offset** (§3.1 of the paper).
 //! * Ordering is guaranteed **within** a partition, never across partitions.
-//! * Logs are **segmented** and support size/time based retention, so topics
-//!   can retain "several hours to several days" of history for replay.
+//! * Each partition's log is one in-memory `Vec` whose index is the offset,
+//!   never trimmed from the front, so changelog and checkpoint topics replay
+//!   from offset 0.
 //! * Publishers pick the partition: keyed messages go to
 //!   [`partitioner::hash_bytes`]`(key) % partitions`. Readers fetch by
 //!   offset from the partitions Samza's job model assigns them; the broker
 //!   keeps no consumer positions.
-//! * A lightweight **replication** simulation (leader/ISR/acks) and an
-//!   **I/O throttle** that models EC2-style burst-credit exhaustion — the
-//!   paper's §5.1 notes that key-value-heavy experiments got throttled on EC2.
+//! * A lightweight **replication** simulation (leader/ISR/acks, leader
+//!   failover) and seeded **fault injection** (transient errors and
+//!   unavailability windows), which the chaos tests drive.
 //!
 //! Everything lives in one process; "brokers" are shared-memory structures
 //! guarded by per-partition locks so many container threads can append and
@@ -49,16 +50,14 @@ pub mod message;
 pub mod partitioner;
 pub mod replication;
 pub mod retry;
-pub mod throttle;
 pub mod topic;
 
 pub use broker::Broker;
 pub use buf::Bytes;
 pub use error::{FaultOp, KafkaError, Result};
 pub use fault::{FaultInjector, FaultKind, FaultSchedule, FaultSpec};
-pub use log::{FetchResult, PartitionLog, Record, SegmentConfig};
+pub use log::{FetchResult, PartitionLog, Record};
 pub use message::{Message, TopicPartition};
 pub use replication::{AckMode, IsrDelta, ReplicationConfig};
 pub use retry::{splitmix64, Retrier, RetryMetrics, RetryPolicy};
-pub use throttle::IoThrottle;
 pub use topic::{Topic, TopicConfig};

@@ -9,7 +9,8 @@ use std::fmt;
 /// compaction-style semantics), an opaque value, and an event timestamp in
 /// milliseconds. SamzaSQL requires the event timestamp to be present in the
 /// *tuple* as well (§3.1); the envelope-level timestamp here corresponds to
-/// Kafka's record timestamp and is what the broker indexes retention on.
+/// Kafka's record timestamp, which the container hands to tasks with each
+/// incoming message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Optional partitioning key.
@@ -17,7 +18,8 @@ pub struct Message {
     /// Opaque payload.
     pub value: Bytes,
     /// Event-time timestamp in milliseconds since the epoch (or since the
-    /// start of a simulated timeline — the broker only compares these values).
+    /// start of a simulated timeline). The broker stores it and never reads
+    /// it.
     pub timestamp: i64,
 }
 
@@ -46,8 +48,8 @@ impl Message {
         self
     }
 
-    /// Total payload size in bytes (key + value), used for size-based
-    /// retention and throttling accounting.
+    /// Total payload size in bytes (key + value), counted by the broker's
+    /// `bytes_in`/`bytes_out` metrics.
     pub fn payload_len(&self) -> usize {
         self.key.as_ref().map_or(0, |k| k.len()) + self.value.len()
     }

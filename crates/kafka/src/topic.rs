@@ -1,6 +1,6 @@
 //! Topics: named collections of partitions.
 
-use crate::log::{PartitionLog, SegmentConfig};
+use crate::log::PartitionLog;
 use crate::replication::ReplicationConfig;
 use std::sync::RwLock;
 
@@ -10,26 +10,17 @@ pub struct TopicConfig {
     /// Number of partitions. Fixed at creation, like Kafka prior to
     /// partition expansion (the paper's benchmarks use a constant 32).
     pub partitions: u32,
-    /// Log segmentation and retention settings applied to every partition.
-    pub segment: SegmentConfig,
     /// Replication simulation settings.
     pub replication: ReplicationConfig,
 }
 
 impl TopicConfig {
-    /// A topic with `partitions` partitions and default log settings.
+    /// A topic with `partitions` partitions and default replication settings.
     pub fn with_partitions(partitions: u32) -> Self {
         TopicConfig {
             partitions,
-            segment: SegmentConfig::default(),
             replication: ReplicationConfig::default(),
         }
-    }
-
-    /// Builder-style override of segment configuration.
-    pub fn segment(mut self, segment: SegmentConfig) -> Self {
-        self.segment = segment;
-        self
     }
 
     /// Builder-style override of replication configuration.
@@ -57,7 +48,7 @@ impl Topic {
     pub fn new(name: impl Into<String>, config: TopicConfig) -> Self {
         let name = name.into();
         let partitions = (0..config.partitions)
-            .map(|p| RwLock::new(PartitionLog::new(name.clone(), p, config.segment.clone())))
+            .map(|p| RwLock::new(PartitionLog::new(name.clone(), p)))
             .collect();
         Topic {
             name,

@@ -11,8 +11,7 @@
 //!   watch reschedules the container),
 //! * broker leader failover on a replicated input (log truncation to the
 //!   committed offset, epoch bump, producers/consumers resume via retries),
-//! * transient broker errors (ridden out by the retry layer),
-//! * I/O throttling (the §5.1 burst-credit collapse).
+//! * transient broker errors (ridden out by the retry layer).
 //!
 //! The driver loop that pumps a scenario against a cluster lives in the
 //! chaos integration tests; this module owns generation and application so
@@ -20,8 +19,7 @@
 
 use crate::cluster::{ClusterSim, CONTAINER_SESSION_TIMEOUT_MS};
 use crate::error::Result;
-use samzasql_kafka::{splitmix64, FaultInjector, FaultKind, FaultSchedule, FaultSpec, IoThrottle};
-use std::sync::Arc;
+use samzasql_kafka::{splitmix64, FaultInjector, FaultKind, FaultSchedule, FaultSpec};
 
 /// One injectable fault, fully parameterized at generation time so applying
 /// it needs no further randomness.
@@ -45,12 +43,6 @@ pub enum ChaosFault {
     /// Install a fault injector that fails the next `window` produce and
     /// fetch operations per partition with a retriable error, then heals.
     TransientBrokerErrors { seed: u64, window: u64 },
-    /// Install an I/O throttle over produce traffic (burst credits, then a
-    /// collapsed sustained rate).
-    IoThrottle {
-        sustained_bytes_per_sec: u64,
-        burst_bytes: u64,
-    },
 }
 
 impl std::fmt::Display for ChaosFault {
@@ -72,7 +64,6 @@ impl std::fmt::Display for ChaosFault {
             ChaosFault::TransientBrokerErrors { window, .. } => {
                 write!(f, "transient-broker-errors(window {window})")
             }
-            ChaosFault::IoThrottle { .. } => write!(f, "io-throttle"),
         }
     }
 }
@@ -127,7 +118,7 @@ pub struct ChaosScenario {
 
 impl ChaosScenario {
     /// Build the schedule for `seed`. Fault kinds rotate (offset by the
-    /// seed) so every scenario of six or more events exercises every kind
+    /// seed) so every scenario of five or more events exercises every kind
     /// available under `opts`.
     pub fn generate(seed: u64, opts: &ScenarioOptions) -> Self {
         let mut rng_i = 0u64;
@@ -135,7 +126,7 @@ impl ChaosScenario {
             rng_i += 1;
             splitmix64(seed ^ rng_i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
         };
-        let kinds = 6u64;
+        let kinds = 5u64;
         let mut at = opts.first_at;
         let mut events = Vec::with_capacity(opts.events);
         for i in 0..opts.events {
@@ -155,15 +146,11 @@ impl ChaosScenario {
                     partition: ((r >> 16) % opts.partitions.max(1) as u64) as u32,
                 },
                 3 => ChaosFault::KillContainer { container_id },
-                4 => ChaosFault::TransientBrokerErrors {
+                _ => ChaosFault::TransientBrokerErrors {
                     seed: rng(),
                     // Strictly fewer consecutive faults than the default
                     // client's attempt budget, so retries ride them out.
                     window: 3 + (r >> 24) % 4,
-                },
-                _ => ChaosFault::IoThrottle {
-                    sustained_bytes_per_sec: 64 * 1024,
-                    burst_bytes: 256 * 1024 + (r >> 32) % (256 * 1024),
                 },
             };
             events.push(ChaosEvent {
@@ -248,17 +235,6 @@ pub fn apply_fault(
                     )],
                 )));
         }
-        ChaosFault::IoThrottle {
-            sustained_bytes_per_sec,
-            burst_bytes,
-        } => {
-            let broker = cluster.broker();
-            broker.set_throttle(Some(Arc::new(IoThrottle::new(
-                broker.metrics_registry(),
-                *sustained_bytes_per_sec,
-                *burst_bytes,
-            ))));
-        }
     }
     Ok(())
 }
@@ -309,10 +285,9 @@ mod tests {
                 ChaosFault::DropHeartbeats { .. } => 2,
                 ChaosFault::KillLeader { .. } => 3,
                 ChaosFault::TransientBrokerErrors { .. } => 4,
-                ChaosFault::IoThrottle { .. } => 5,
             })
             .collect();
-        assert_eq!(kinds.len(), 6, "six events cover all six fault kinds");
+        assert_eq!(kinds.len(), 5, "six events cover all five fault kinds");
     }
 
     #[test]

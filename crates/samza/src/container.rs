@@ -356,7 +356,7 @@ impl Container {
                 .map(|rec| IncomingMessageEnvelope {
                     tp: Arc::clone(&shared_tp),
                     offset: rec.offset,
-                    timestamp: rec.timestamp,
+                    timestamp: rec.message.timestamp,
                     key: rec.message.key,
                     payload: rec.message.value,
                 })

@@ -1,9 +1,9 @@
-//! Seeded chaos harness over the paper's four query shapes (ISSUE 4).
+//! Seeded chaos harness over the paper's four query shapes.
 //!
 //! Each scenario runs a job twice over identical input: once fault-free
 //! (the baseline) and once under a seeded fault schedule composing container
-//! kills, session expiry, dropped heartbeats, input-leader failover,
-//! transient broker errors, and I/O throttling. The chaos run must converge
+//! kills, session expiry, dropped heartbeats, input-leader failover, and
+//! transient broker errors. The chaos run must converge
 //! to output equivalent to the baseline after at-least-once dedup — outputs
 //! are keyed by the input record's identity (`partition-offset`), so dedup
 //! is exact and any replayed emission must carry the identical value
@@ -411,7 +411,6 @@ fn run_shape(
 
     // Quiesce: heal every standing fault, then stop (final commits).
     broker.set_fault_injector(None);
-    broker.set_throttle(None);
     std::thread::sleep(Duration::from_millis(20));
     handle.stop().unwrap();
     dedup_output(&broker)
