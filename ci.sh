@@ -62,6 +62,12 @@ if grep -rnwE 'SegmentConfig|enforce_retention|append_time|IoThrottle|set_thrott
   echo "ci.sh: a deleted log segment, retention, or throttle name is back" >&2
   exit 1
 fi
+# The sliding window encodes the tuple it holds in place: no per-tuple
+# clone of the whole tuple (pad string included) only to object-encode it.
+if grep -rnF 'Value::Array(tuple.clone())' crates/core/src/ops; then
+  echo "ci.sh: an operator clones its tuple to encode it again" >&2
+  exit 1
+fi
 # The benchmark package (perfbench/) lives outside the workspace but builds
 # against its crates: a workspace API change that breaks it fails here, not
 # in the perf gate. It has no lockfile of its own, so it runs without

@@ -589,9 +589,11 @@ mod tests {
         }
     }
 
-    /// The preloaded orders of each partition as `(rowtime, productId)`,
-    /// in offset order.
-    fn orders_by_partition(broker: &Broker) -> Vec<Vec<(i64, i64)>> {
+    /// Each partition's orders as `(rowtime, productId)`, in offset order.
+    type OrdersByPartition = Vec<Vec<(i64, i64)>>;
+
+    /// The preloaded orders of each partition.
+    fn orders_by_partition(broker: &Broker) -> OrdersByPartition {
         let codec = AvroCodec::new(orders_schema());
         (0..broker.partition_count("orders").unwrap())
             .map(|p| {
@@ -609,18 +611,25 @@ mod tests {
             .collect()
     }
 
-    /// The store work of `query`'s SQL and native jobs, and their input.
+    /// The store work of `query`'s SQL and native jobs, their input, and
+    /// the key and value bytes the SQL job wrote to its stores.
     fn store_work_of(
         query: EvalQuery,
         partitions: u32,
         orders: OrdersSpec,
         n: usize,
-    ) -> (StoreWork, StoreWork, Vec<Vec<(i64, i64)>>) {
+    ) -> (StoreWork, StoreWork, OrdersByPartition, u64) {
         let (shell, _, broker) = run_sql_and_native(query, partitions, orders, n);
+        let sql_bytes = shell
+            .broker()
+            .metrics_registry()
+            .snapshot_prefix("samza.store.")
+            .counter_sum("samza.store.bytes_written");
         (
             store_work(shell.broker()),
             store_work(&broker),
             orders_by_partition(shell.broker()),
+            sql_bytes,
         )
     }
 
@@ -662,7 +671,7 @@ mod tests {
 
         // Join: each relation row is one put on both paths. Native probes
         // the store once per order; SQL once per distinct key per batch.
-        let (sql, native, input) = store_work_of(EvalQuery::Join, partitions, orders.clone(), n);
+        let (sql, native, input, _) = store_work_of(EvalQuery::Join, partitions, orders.clone(), n);
         let keys = distinct_keys_per_batch(&input);
         assert!(keys < n64, "the input must repeat keys within a batch");
         assert_eq!(
@@ -690,7 +699,8 @@ mod tests {
         // its group's expired messages, and delete the same expired
         // messages. Native reads and writes the group's sum per order; SQL
         // reads and writes the group's state once per batch.
-        let (sql, native, input) = store_work_of(EvalQuery::SlidingWindow, partitions, orders, n);
+        let (sql, native, input, sql_bytes) =
+            store_work_of(EvalQuery::SlidingWindow, partitions, orders, n);
         let keys = distinct_keys_per_batch(&input);
         let expired = input
             .iter()
@@ -721,6 +731,10 @@ mod tests {
             },
             "SQL window"
         );
+        // The SQL window's store keys and values, byte for byte: the state
+        // bundles `A<op>/<group>` and messages `M<op>/<group>/<ts><seq>`
+        // replay from the changelog, so their encoding must not drift.
+        assert_eq!(sql_bytes, 67_540, "SQL window store bytes written");
     }
 
     #[test]

@@ -167,7 +167,7 @@ impl WindowAggOp {
             }
             out.push(row);
             store.delete(&k)?;
-            cache.remove(&k);
+            cache.remove(&k[..]);
         }
         Ok(())
     }

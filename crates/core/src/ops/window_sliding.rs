@@ -26,8 +26,9 @@
 use crate::error::Result;
 use crate::expr::CompiledExpr;
 use crate::ops::acc::{accs_from_value, accs_to_value, Acc, CompiledAgg};
-use crate::ops::{encode_i64, encode_once, OpCtx, Operator, Side};
+use crate::ops::{encode_i64, OpCtx, Operator, Side};
 use crate::tuple::Tuple;
+use samzasql_kafka::Bytes;
 use samzasql_serde::object::ObjectCodec;
 use samzasql_serde::Value;
 use std::collections::BTreeMap;
@@ -37,9 +38,21 @@ use std::collections::BTreeMap;
 type WindowState = (Vec<Acc>, u64, i64);
 
 /// Time- or tuple-domain sliding window appending aggregate columns.
+///
+/// Store keys, with `<group>` the object encoding of the PARTITION BY values
+/// as an array:
+/// - `A<op_id>/<group>`: the group's state bundle;
+/// - `M<op_id>/<group>/<ts><seq>`: one retained message, `ts` order-encoded
+///   ([`encode_i64`]) and `seq` big-endian, so a group's messages scan in
+///   event-time order.
+///
+/// Every key is built in a buffer the operator reuses across tuples; the
+/// store copies a key only when it keeps a new one.
 pub struct SlidingWindowOp {
-    /// Key prefix isolating this operator's entries in the shared store.
-    op_id: String,
+    /// `M<op_id>/`: head of this operator's message keys.
+    msg_head: Vec<u8>,
+    /// `A<op_id>/`: head of this operator's state keys.
+    state_head: Vec<u8>,
     partition_by: Vec<CompiledExpr>,
     ts_index: usize,
     /// RANGE frame in ms; `None` with `rows: None` means unbounded.
@@ -47,6 +60,16 @@ pub struct SlidingWindowOp {
     rows: Option<u64>,
     aggs: Vec<CompiledAgg>,
     codec: ObjectCodec,
+    /// The current tuple's PARTITION BY values.
+    group_vals: Vec<Value>,
+    /// Their encoding: the current tuple's group key.
+    group: Vec<u8>,
+    /// `M<op_id>/<group>/`: the current group's message-key prefix.
+    prefix: Vec<u8>,
+    /// A full store key (message or state key).
+    key: Vec<u8>,
+    /// Exclusive upper bound of a range scan over the current group.
+    bound: Vec<u8>,
     /// Encode buffer reused for every store value.
     buf: Vec<u8>,
 }
@@ -60,43 +83,30 @@ impl SlidingWindowOp {
         rows: Option<u64>,
         aggs: Vec<CompiledAgg>,
     ) -> Self {
+        let op_id = op_id.into();
         SlidingWindowOp {
-            op_id: op_id.into(),
+            msg_head: format!("M{op_id}/").into_bytes(),
+            state_head: format!("A{op_id}/").into_bytes(),
             partition_by,
             ts_index,
             range_ms,
             rows,
             aggs,
             codec: ObjectCodec::new(),
+            group_vals: Vec::new(),
+            group: Vec::new(),
+            prefix: Vec::new(),
+            key: Vec::new(),
+            bound: Vec::new(),
             buf: Vec::new(),
         }
     }
 
-    fn group_key(&self, tuple: &Tuple) -> Result<Vec<u8>> {
-        let vals: Vec<Value> = self.partition_by.iter().map(|e| e.eval(tuple)).collect();
-        Ok(self.codec.encode(&Value::Array(vals))?.to_vec())
-    }
-
-    fn msg_prefix(&self, group: &[u8]) -> Vec<u8> {
-        let mut k = format!("M{}/", self.op_id).into_bytes();
-        k.extend_from_slice(group);
-        k.push(b'/');
-        k
-    }
-
-    fn meta_key(&self, tag: u8, group: &[u8]) -> Vec<u8> {
-        let mut k = vec![tag];
-        k.extend_from_slice(format!("{}/", self.op_id).as_bytes());
-        k.extend_from_slice(group);
-        k
-    }
-}
-
-impl SlidingWindowOp {
-    /// Load a group's state bundle from the store, or initialize it.
-    fn load_state(&self, group: &[u8], ctx: &mut OpCtx<'_>) -> Result<WindowState> {
-        let state_key = self.meta_key(b'A', group);
-        match ctx.store()?.get(&state_key) {
+    /// Load the current group's state bundle from the store, or initialize
+    /// it.
+    fn load_state(&mut self, ctx: &mut OpCtx<'_>) -> Result<WindowState> {
+        build_key(&mut self.key, &[&self.state_head, &self.group]);
+        match ctx.store()?.get(&self.key) {
             Some(bytes) => match self.codec.decode(&bytes)? {
                 Value::Array(parts) if parts.len() == 3 => {
                     let accs = accs_from_value(&parts[0])?;
@@ -110,6 +120,14 @@ impl SlidingWindowOp {
             },
             None => Ok((self.aggs.iter().map(|a| a.init()).collect(), 0, i64::MIN)),
         }
+    }
+}
+
+/// Overwrite `buf` with the concatenation of `parts`.
+fn build_key(buf: &mut Vec<u8>, parts: &[&[u8]]) {
+    buf.clear();
+    for part in parts {
+        buf.extend_from_slice(part);
     }
 }
 
@@ -136,12 +154,17 @@ impl Operator for SlidingWindowOp {
                 .ok_or_else(|| {
                     crate::error::CoreError::Operator("sliding window: NULL timestamp".into())
                 })?;
-            let group = self.group_key(&tuple)?;
-            if !states.contains_key(&group) {
-                let state = self.load_state(&group, ctx)?;
-                states.insert(group.clone(), state);
+            self.group_vals.clear();
+            self.group_vals
+                .extend(self.partition_by.iter().map(|e| e.eval(&tuple)));
+            self.group.clear();
+            self.codec
+                .encode_array_into(&self.group_vals, &mut self.group)?;
+            if !states.contains_key(&self.group[..]) {
+                let state = self.load_state(ctx)?;
+                states.insert(self.group.clone(), state);
             }
-            let state = states.get_mut(&group).expect("just inserted");
+            let state = states.get_mut(&self.group[..]).expect("just inserted");
             let (ref mut accs, ref mut seq, ref mut max_ts) = *state;
 
             // Out-of-order arrival beyond the retained window: the paper's
@@ -155,25 +178,24 @@ impl Operator for SlidingWindowOp {
             let new_max = (*max_ts).max(ts);
 
             // Save the message in the message store (Algorithm 1 line 1).
-            let prefix = self.msg_prefix(&group);
-            let mut msg_key = prefix.clone();
-            msg_key.extend_from_slice(&encode_i64(ts));
-            msg_key.extend_from_slice(&seq.to_be_bytes());
-            let encoded_msg =
-                encode_once(&self.codec, &Value::Array(tuple.clone()), &mut self.buf)?;
+            build_key(&mut self.prefix, &[&self.msg_head, &self.group, b"/"]);
+            build_key(
+                &mut self.key,
+                &[&self.prefix, &encode_i64(ts), &seq.to_be_bytes()],
+            );
+            self.buf.clear();
+            self.codec.encode_array_into(&tuple, &mut self.buf)?;
             let store = ctx.store()?;
-            store.put(&msg_key, encoded_msg)?;
+            store.put(&self.key, Bytes::copy_from_slice(&self.buf))?;
 
             // Purge expired messages, adjusting aggregates (lines 8–9).
             let mut need_recompute = false;
-            let mut expired: Vec<Vec<u8>> = Vec::new();
             match (self.range_ms, self.rows) {
                 (Some(range), _) => {
-                    let cutoff = new_max - range;
                     // Range [prefix .. prefix+encode(cutoff)) = strictly older.
-                    let mut hi = prefix.clone();
-                    hi.extend_from_slice(&encode_i64(cutoff));
-                    for (k, v) in store.range(&prefix, &hi) {
+                    let cutoff = new_max - range;
+                    build_key(&mut self.bound, &[&self.prefix, &encode_i64(cutoff)]);
+                    for (k, v) in store.range(&self.prefix, &self.bound) {
                         let old: Tuple = match self.codec.decode(&v)? {
                             Value::Array(items) => items,
                             _ => continue,
@@ -183,16 +205,15 @@ impl Operator for SlidingWindowOp {
                                 need_recompute = true;
                             }
                         }
-                        expired.push(k);
+                        store.delete(&k)?;
                     }
                 }
                 (None, Some(rows)) => {
                     // Tuple-domain frame: current row + `rows` preceding. Drop
                     // the oldest entries beyond the frame.
-                    let mut hi = prefix.clone();
-                    hi.extend_from_slice(&encode_i64(i64::MAX));
+                    build_key(&mut self.bound, &[&self.prefix, &encode_i64(i64::MAX)]);
                     let keep = rows as usize + 1;
-                    let mut all = store.range(&prefix, &hi);
+                    let mut all = store.range(&self.prefix, &self.bound);
                     while all.len() > keep {
                         let (k, v) = all.remove(0);
                         let old: Tuple = match self.codec.decode(&v)? {
@@ -204,13 +225,10 @@ impl Operator for SlidingWindowOp {
                                 need_recompute = true;
                             }
                         }
-                        expired.push(k);
+                        store.delete(&k)?;
                     }
                 }
                 (None, None) => {} // unbounded: nothing expires
-            }
-            for k in &expired {
-                store.delete(k)?;
             }
 
             // Fold in the new tuple (line 10).
@@ -220,9 +238,8 @@ impl Operator for SlidingWindowOp {
 
             // Non-invertible aggregates: recompute from retained messages.
             if need_recompute {
-                let mut hi = prefix.clone();
-                hi.extend_from_slice(&encode_i64(i64::MAX));
-                let retained = store.range(&prefix, &hi);
+                build_key(&mut self.bound, &[&self.prefix, &encode_i64(i64::MAX)]);
+                let retained = store.range(&self.prefix, &self.bound);
                 *accs = self.aggs.iter().map(|a| a.init()).collect();
                 for (_, v) in retained {
                     if let Value::Array(items) = self.codec.decode(&v)? {
@@ -246,14 +263,16 @@ impl Operator for SlidingWindowOp {
 
         // Persist one state bundle per group touched by this batch.
         for (group, (accs, seq, max_ts)) in &states {
-            let state_key = self.meta_key(b'A', group);
-            let state = Value::Array(vec![
+            build_key(&mut self.key, &[&self.state_head, group]);
+            let state = [
                 accs_to_value(accs),
                 Value::Long(*seq as i64),
                 Value::Long(*max_ts),
-            ]);
-            let encoded = encode_once(&self.codec, &state, &mut self.buf)?;
-            ctx.store()?.put(&state_key, encoded)?;
+            ];
+            self.buf.clear();
+            self.codec.encode_array_into(&state, &mut self.buf)?;
+            ctx.store()?
+                .put(&self.key, Bytes::copy_from_slice(&self.buf))?;
         }
         Ok(())
     }
@@ -416,6 +435,57 @@ mod tests {
         .unwrap();
         assert_eq!(out.len(), 1, "only the on-time tuple emits");
         assert_eq!(late, 1);
+    }
+
+    #[test]
+    fn two_groups_leave_exactly_their_state_and_message_keys() {
+        let mut store = KeyValueStore::ephemeral("s");
+        let mut w = op(Some(100), None, vec![sum_units()]);
+        // Product 1 at t=0 is purged by its t=200 tuple; product 2 keeps t=10.
+        let input = vec![tup(0, 1, 10), tup(10, 2, 5), tup(200, 1, 7)];
+        run(&mut w, &mut store, input.clone());
+
+        // Group key: the object encoding of `[Int(product)]` (array tag 9,
+        // length 1, int tag 2, little-endian i32).
+        let group = |p: u8| vec![9, 1, 0, 0, 0, 2, p, 0, 0, 0];
+        let state_key = |p: u8| [b"A0/".to_vec(), group(p)].concat();
+        // `M0/<group>/`, the order-encoded timestamp, the big-endian seq.
+        let msg_key = |p: u8, ts: u8, seq: u8| {
+            let ts = [0x80, 0, 0, 0, 0, 0, 0, ts];
+            let seq = [0, 0, 0, 0, 0, 0, 0, seq];
+            [
+                b"M0/".to_vec(),
+                group(p),
+                b"/".to_vec(),
+                ts.to_vec(),
+                seq.to_vec(),
+            ]
+            .concat()
+        };
+        let keys: Vec<Vec<u8>> = store.all().into_iter().map(|(k, _)| k.to_vec()).collect();
+        assert_eq!(
+            keys,
+            vec![
+                state_key(1),
+                state_key(2),
+                msg_key(1, 200, 1),
+                msg_key(2, 10, 0)
+            ]
+        );
+
+        // Message values are the object-coded input tuples.
+        let codec = ObjectCodec::new();
+        let msg = store.get(&msg_key(1, 200, 1)).unwrap();
+        assert_eq!(
+            msg[..],
+            codec.encode(&Value::Array(input[2].clone())).unwrap()[..]
+        );
+        // State bundle: [accumulators, next seq, max event time].
+        let state = codec.decode(&store.get(&state_key(1)).unwrap()).unwrap();
+        let Value::Array(parts) = state else {
+            panic!("state bundle is an array")
+        };
+        assert_eq!(parts[1..], [Value::Long(2), Value::Long(200)]);
     }
 
     #[test]

@@ -1,21 +1,24 @@
-//! Deterministic allocation gate for the filter path (§5.1, Figure 4).
+//! Deterministic allocation gates for the filter path (§5.1, Figure 4) and
+//! the sliding-window path (Figure 6).
 //!
 //! A counting global allocator tallies heap allocations (including
 //! reallocations) made by the calling thread only, so the other tests of
 //! this binary, running on their own threads, do not disturb the counts.
-//! The gate routes seeded Orders through `SamzaSqlTask::process_batch`
+//! Each gate routes seeded Orders through `SamzaSqlTask::process_batch`
 //! after a warm-up batch has grown every reusable buffer, and pins how many
-//! allocations each input row and each output row costs. Wall-clock noise
-//! cannot move these numbers; a change to them is a change to the code.
+//! allocations the measured batches cost. Wall-clock noise cannot move
+//! these numbers; a change to them is a change to the code.
 
 use samzasql_coord::Coord;
+use samzasql_core::ops::STATE_STORE;
 use samzasql_core::task::{SamzaSqlTask, TaskPlanSource};
 use samzasql_core::udaf::UdafRegistry;
-use samzasql_kafka::{Bytes, TopicPartition};
+use samzasql_kafka::{Broker, Bytes, TopicConfig, TopicPartition};
 use samzasql_obs::MetricsRegistry;
 use samzasql_planner::{Catalog, Planner};
 use samzasql_samza::{
-    IncomingMessageEnvelope, MessageCollector, StreamTask, TaskContext, TaskCoordinator,
+    IncomingMessageEnvelope, KeyValueStore, MessageCollector, StreamTask, TaskContext,
+    TaskCoordinator,
 };
 use samzasql_workload::{orders_schema, OrdersGenerator, OrdersSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -69,7 +72,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 const JOB: &str = "alloc-gate";
 
-fn filter_task() -> (SamzaSqlTask, TaskContext) {
+/// A task running `sql` over the Orders stream, and its partition-0
+/// context; the caller registers any store and then calls `init`.
+fn orders_task(sql: &str) -> (SamzaSqlTask, TaskContext) {
     let mut catalog = Catalog::new();
     catalog
         .register_stream("Orders", "orders", orders_schema(), "rowtime")
@@ -77,12 +82,9 @@ fn filter_task() -> (SamzaSqlTask, TaskContext) {
     catalog.set_partition_key("Orders", "productId").unwrap();
     let coord = Coord::new();
     coord
-        .upsert(
-            format!("/samzasql/queries/{JOB}/sql"),
-            "SELECT STREAM * FROM Orders WHERE units > 50",
-        )
+        .upsert(format!("/samzasql/queries/{JOB}/sql"), sql)
         .unwrap();
-    let mut task = SamzaSqlTask::new(
+    let task = SamzaSqlTask::new(
         JOB,
         "out",
         coord,
@@ -91,7 +93,12 @@ fn filter_task() -> (SamzaSqlTask, TaskContext) {
         },
         Arc::new(UdafRegistry::new()),
     );
-    let mut ctx = TaskContext::new("Partition 0", 0, vec![], MetricsRegistry::new());
+    let ctx = TaskContext::new("Partition 0", 0, vec![], MetricsRegistry::new());
+    (task, ctx)
+}
+
+fn filter_task() -> (SamzaSqlTask, TaskContext) {
+    let (mut task, mut ctx) = orders_task("SELECT STREAM * FROM Orders WHERE units > 50");
     task.init(&mut ctx).unwrap();
     (task, ctx)
 }
@@ -169,4 +176,89 @@ fn bytes_clone_shares_and_copy_allocates_once() {
     let (clones, c) = allocations(|| b.clone());
     assert_eq!(clones, 0, "a clone bumps a refcount");
     assert_eq!(c.as_ptr(), b.as_ptr());
+}
+
+/// Figure 6's query: a 5-minute sliding SUM per product.
+const WINDOW_SQL: &str = "SELECT STREAM rowtime, productId, units, \
+     SUM(units) OVER (PARTITION BY productId ORDER BY rowtime \
+     RANGE INTERVAL '5' MINUTE PRECEDING) unitsLastFiveMinutes FROM Orders";
+
+/// Per order while nothing expires: the Avro decode's value array and its
+/// `pad` string, the fresh tuple array, that array's growth when the window
+/// appends its SUM column, the message-store value and key (each copied
+/// once out of the operator's reused buffers into what the store keeps),
+/// the projected output tuple, and the encoded output payload.
+const WINDOW_ALLOCS_PER_ORDER: u64 = 8;
+
+/// The no-purge stretch: 200 orders over 85 products. Its budget is
+/// 8 allocations per order (1 600) plus about 8 per product the batch
+/// touches (the group key the batch memoizes, the state bundle's decode and
+/// its re-encode, about 680) plus the ordered maps' node splits: 2 318,
+/// 11.6 per order. Before message keys and values were built in reused
+/// buffers and the store copied each key once, the same stretch made
+/// 6 052.
+const WINDOW_NO_PURGE_ALLOCS: u64 = 2318;
+/// The purge stretch: 300 orders, most of which expire an older message of
+/// their product; each purging order also pays for its range scan's result
+/// and the decode of every expired message (9 491 before).
+const WINDOW_PURGE_ALLOCS: u64 = 3724;
+
+#[test]
+fn window_batch_allocations_are_pinned() {
+    // One order every 500 ms over 100 products: the first 600 orders span
+    // under 5 minutes, so nothing expires; from then on each order expires
+    // about one of its product's older messages.
+    let mut gen = OrdersGenerator::new(OrdersSpec {
+        inter_arrival_ms: 500,
+        ..OrdersSpec::default()
+    });
+    let (mut task, mut ctx) = orders_task(WINDOW_SQL);
+    let broker = Broker::new();
+    broker
+        .create_topic("changelog", TopicConfig::with_partitions(1))
+        .unwrap();
+    ctx.register_store(KeyValueStore::with_changelog(
+        STATE_STORE,
+        broker,
+        "changelog",
+        0,
+    ));
+    task.init(&mut ctx).unwrap();
+    let mut collector = MessageCollector::new();
+    let mut coordinator = TaskCoordinator::default();
+    let mut sent = Vec::new();
+    let mut run = |batch: &[IncomingMessageEnvelope], ctx: &mut TaskContext| {
+        let (allocs, processed) = allocations(|| {
+            task.process_batch(batch, ctx, &mut collector, &mut coordinator)
+                .unwrap()
+        });
+        assert_eq!(processed, batch.len());
+        assert_eq!(collector.len(), batch.len(), "one output row per order");
+        collector.drain_into(&mut sent);
+        sent.clear();
+        // Commit: the changelog buffer empties and keeps its capacity.
+        ctx.flush_changelogs().unwrap();
+        allocs
+    };
+
+    // Warm-up: 400 orders grow the router, operator, store and collector
+    // buffers past what either measured batch needs.
+    run(&envelopes(&mut gen, 400, 0), &mut ctx);
+    let deletes = |ctx: &TaskContext| ctx.store(STATE_STORE).unwrap().metrics().deletes;
+    assert_eq!(deletes(&ctx), 0);
+
+    let no_purge = envelopes(&mut gen, 200, 400);
+    let allocs = run(&no_purge, &mut ctx);
+    assert_eq!(deletes(&ctx), 0, "nothing expires in the first 5 minutes");
+    assert!(allocs >= WINDOW_ALLOCS_PER_ORDER * 200);
+    assert_eq!(allocs, WINDOW_NO_PURGE_ALLOCS, "200 orders, no purges");
+
+    let purge = envelopes(&mut gen, 300, 600);
+    let allocs = run(&purge, &mut ctx);
+    let expired = deletes(&ctx);
+    assert!(
+        expired > 200,
+        "most orders expire an older message of their product, {expired} expired"
+    );
+    assert_eq!(allocs, WINDOW_PURGE_ALLOCS, "300 orders with purges");
 }

@@ -373,21 +373,21 @@ impl Broker {
         offset: u64,
         max_records: usize,
     ) -> Result<FetchResult> {
+        // Cap visibility at the high watermark: records not yet replicated
+        // to the ISR could still be truncated by a leader failover, so
+        // consumers must not see them. The cap is read before the log lock
+        // is taken (`replication_tick` takes the replicas lock first, then a
+        // log lock), and only records below it are copied.
+        let visible = self.visible_end(topic, partition, u64::MAX);
         let mut result = self.with_log(topic, partition, |log| {
             self.intercept(FaultOp::Fetch, topic, partition)?;
             self.check_leader_and_acks(topic, partition, AckMode::None)?;
-            log.read().unwrap().fetch(offset, max_records)
+            let below_cap = usize::try_from(visible.saturating_sub(offset)).unwrap_or(usize::MAX);
+            log.read()
+                .unwrap()
+                .fetch(offset, max_records.min(below_cap))
         })?;
-        if self.inner.has_replicated.load(Ordering::Relaxed) {
-            // Cap visibility at the high watermark: records not yet
-            // replicated to the ISR could still be truncated by a leader
-            // failover, so consumers must not see them.
-            let visible = self.visible_end(topic, partition, result.high_watermark);
-            if visible < result.high_watermark {
-                result.records.retain(|r| r.offset < visible);
-                result.high_watermark = visible;
-            }
-        }
+        result.high_watermark = result.high_watermark.min(visible);
         let bytes: u64 = result
             .records
             .iter()
@@ -625,6 +625,47 @@ mod tests {
         assert!(b
             .produce_with_acks("t", 0, Message::new("y"), AckMode::All)
             .is_ok());
+    }
+
+    #[test]
+    fn fetch_behind_a_lagging_isr_returns_exactly_the_committed_records() {
+        let b = Broker::new();
+        let cfg = TopicConfig::with_partitions(1).replication(ReplicationConfig {
+            replication_factor: 2,
+            records_per_tick: 3,
+            max_lag_records: 100,
+            ..ReplicationConfig::default()
+        });
+        b.create_topic("t", cfg).unwrap();
+        for i in 0..10 {
+            b.produce("t", 0, Message::new(format!("m{i}"))).unwrap();
+        }
+        b.replication_tick(); // the in-sync follower holds offsets 0..3
+        assert_eq!(b.high_watermark("t", 0).unwrap(), 3);
+
+        let all = b.fetch("t", 0, 0, 100).unwrap();
+        let offsets: Vec<u64> = all.records.iter().map(|r| r.offset).collect();
+        assert_eq!(offsets, vec![0, 1, 2]);
+        assert_eq!(all.high_watermark, 3);
+        assert_eq!(all.records[2].message.value.as_ref(), b"m2");
+
+        let one = b.fetch("t", 0, 1, 1).unwrap();
+        assert_eq!(one.records.len(), 1);
+        assert_eq!((one.records[0].offset, one.high_watermark), (1, 3));
+
+        // Past the committed offset but inside the log: empty, not an error.
+        let uncommitted = b.fetch("t", 0, 5, 100).unwrap();
+        assert!(uncommitted.records.is_empty());
+        assert_eq!(uncommitted.high_watermark, 3);
+        assert!(matches!(
+            b.fetch("t", 0, 11, 100),
+            Err(KafkaError::OffsetOutOfRange { .. })
+        ));
+
+        b.replication_tick();
+        let later = b.fetch("t", 0, 3, 100).unwrap();
+        assert_eq!(later.records.len(), 3);
+        assert_eq!(later.high_watermark, 6);
     }
 
     #[test]

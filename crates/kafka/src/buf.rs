@@ -7,6 +7,8 @@
 //! serialize into a reused `Vec<u8>` and copy the finished bytes once with
 //! [`Bytes::copy_from_slice`].
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -110,6 +112,26 @@ impl PartialEq for Bytes {
 
 impl Eq for Bytes {}
 
+/// Ordered by contents, like `[u8]`, so an ordered map keyed by `Bytes` can
+/// be searched with a borrowed `&[u8]` (see [`Borrow`]).
+impl Ord for Bytes {
+    fn cmp(&self, other: &Bytes) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Bytes) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Borrow<[u8]> for Bytes {
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,5 +153,16 @@ mod tests {
         assert_ne!(Bytes::from("ab"), Bytes::from(String::from("abc")));
         assert_eq!(format!("{:?}", Bytes::from(vec![b'k', 0])), "b\"k\\x00\"");
         assert!(Bytes::default().is_empty());
+    }
+
+    #[test]
+    fn order_follows_the_contents_and_maps_look_up_by_slice() {
+        assert!(Bytes::from_static(b"ab") < Bytes::copy_from_slice(b"b"));
+        assert!(Bytes::copy_from_slice(b"a") < Bytes::from_static(b"ab"));
+        let mut map = std::collections::BTreeMap::new();
+        map.insert(Bytes::copy_from_slice(b"k2"), 2);
+        map.insert(Bytes::from_static(b"k1"), 1);
+        assert_eq!(map.get(&b"k1"[..]), Some(&1));
+        assert_eq!(map.keys().next().map(|k| &k[..]), Some(&b"k1"[..]));
     }
 }

@@ -8,11 +8,16 @@
 //! store: callers hand `put` encoded bytes and decode what `get` returns,
 //! each through its own codec (SamzaSQL's operators use the object codec,
 //! the native jobs Avro). An access costs what it really does here: the
-//! ordered-map lookup or insert, the key and value copies, and the
-//! changelog entry a mutation buffers. Figure 6's sliding window is
-//! "dominated by access to the key-value store" for both SamzaSQL and
-//! native jobs because each tuple does several of these accesses, a range
-//! scan and the serde around them, not because any one access is slow.
+//! ordered-map lookup or insert, the changelog entry a mutation buffers,
+//! and one copy of the key when `put` inserts a new one. Keys are [`Bytes`]:
+//! the map, the pending changelog entry and the flushed changelog message
+//! share that one copy, a `put` that overwrites a present key reuses the
+//! map's key and copies none, and scans and restores hand out shared
+//! clones. Values arrive already encoded as `Bytes` and are never copied.
+//! Figure 6's sliding window is "dominated by access to the key-value
+//! store" for both SamzaSQL and native jobs because each tuple does several
+//! of these accesses, a range scan and the serde around them, not because
+//! any one access is slow.
 //!
 //! Every mutation is mirrored to a changelog topic partition; restoring a
 //! store means replaying that partition from the beginning (deletes are
@@ -75,11 +80,11 @@ impl StoreMetrics {
 /// Byte-level ordered key-value store with optional changelog.
 pub struct KeyValueStore {
     name: String,
-    data: BTreeMap<Vec<u8>, Bytes>,
+    data: BTreeMap<Bytes, Bytes>,
     /// Changelog destination: (broker, topic, partition).
     changelog: Option<(Broker, String, u32)>,
     /// Mutations not yet flushed to the changelog (key, value-or-tombstone).
-    pending: Vec<(Vec<u8>, Bytes)>,
+    pending: Vec<(Bytes, Bytes)>,
     metrics: StoreMetrics,
     /// Retry policy for changelog flush and restore traffic.
     retrier: Retrier,
@@ -142,26 +147,37 @@ impl KeyValueStore {
     }
 
     /// Put a serialized value; the changelog entry is buffered until
-    /// [`flush_changelog`](Self::flush_changelog).
+    /// [`flush_changelog`](Self::flush_changelog). A new key is copied once,
+    /// into the `Bytes` the map and the changelog entry share; an existing
+    /// key is reused.
     pub fn put(&mut self, key: &[u8], value: Bytes) -> Result<()> {
         self.metrics.puts.inc();
         self.metrics
             .bytes_written
             .add((key.len() + value.len()) as u64);
+        let key = match self.data.get_key_value(key) {
+            Some((present, _)) => present.clone(),
+            None => Bytes::copy_from_slice(key),
+        };
         if self.changelog.is_some() {
-            self.pending.push((key.to_vec(), value.clone()));
+            self.pending.push((key.clone(), value.clone()));
         }
-        self.data.insert(key.to_vec(), value);
+        self.data.insert(key, value);
         Ok(())
     }
 
-    /// Delete a key; buffers a tombstone (empty value) for the changelog.
+    /// Delete a key; buffers a tombstone (empty value) for the changelog,
+    /// under the removed entry's own key when there was one.
     pub fn delete(&mut self, key: &[u8]) -> Result<()> {
         self.metrics.deletes.inc();
+        let removed = self.data.remove_entry(key);
         if self.changelog.is_some() {
-            self.pending.push((key.to_vec(), Bytes::new()));
+            let key = match removed {
+                Some((present, _)) => present,
+                None => Bytes::copy_from_slice(key),
+            };
+            self.pending.push((key, Bytes::new()));
         }
-        self.data.remove(key);
         Ok(())
     }
 
@@ -180,7 +196,7 @@ impl KeyValueStore {
             .pending
             .iter()
             .map(|(key, value)| Message {
-                key: Some(Bytes::copy_from_slice(key)),
+                key: Some(key.clone()),
                 value: value.clone(),
                 timestamp: 0,
             })
@@ -200,10 +216,10 @@ impl KeyValueStore {
     }
 
     /// Iterate keys in `[from, to)` in order, yielding `(key, value)` pairs.
-    pub fn range(&self, from: &[u8], to: &[u8]) -> Vec<(Vec<u8>, Bytes)> {
+    pub fn range(&self, from: &[u8], to: &[u8]) -> Vec<(Bytes, Bytes)> {
         self.metrics.range_scans.inc();
         let mut read = 0u64;
-        let out: Vec<(Vec<u8>, Bytes)> = self
+        let out: Vec<(Bytes, Bytes)> = self
             .data
             .range::<[u8], _>((Bound::Included(from), Bound::Excluded(to)))
             .map(|(k, v)| {
@@ -216,7 +232,7 @@ impl KeyValueStore {
     }
 
     /// Full scan in key order.
-    pub fn all(&self) -> Vec<(Vec<u8>, Bytes)> {
+    pub fn all(&self) -> Vec<(Bytes, Bytes)> {
         self.metrics.range_scans.inc();
         self.data
             .iter()
@@ -252,9 +268,9 @@ impl KeyValueStore {
             }
             for rec in &batch.records {
                 offset = rec.offset + 1;
-                let key = rec.message.key.clone().unwrap_or_default().to_vec();
+                let key = rec.message.key.clone().unwrap_or_default();
                 if rec.message.value.is_empty() {
-                    self.data.remove(&key);
+                    self.data.remove(&key[..]);
                 } else {
                     self.data.insert(key, rec.message.value.clone());
                 }
@@ -306,8 +322,8 @@ mod tests {
         assert_eq!(s.len(), 3);
         s.delete(b"b").unwrap();
         assert!(s.get(b"b").is_none());
-        let keys: Vec<Vec<u8>> = s.all().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![b"a".to_vec(), b"c".to_vec()]);
+        let keys: Vec<Bytes> = s.all().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![Bytes::from("a"), Bytes::from("c")]);
     }
 
     #[test]
@@ -316,8 +332,8 @@ mod tests {
         for k in ["a", "b", "c", "d"] {
             s.put(k.as_bytes(), Bytes::from_static(b"x")).unwrap();
         }
-        let got: Vec<Vec<u8>> = s.range(b"b", b"d").into_iter().map(|(k, _)| k).collect();
-        assert_eq!(got, vec![b"b".to_vec(), b"c".to_vec()]);
+        let got: Vec<Bytes> = s.range(b"b", b"d").into_iter().map(|(k, _)| k).collect();
+        assert_eq!(got, vec![Bytes::from("b"), Bytes::from("c")]);
     }
 
     #[test]

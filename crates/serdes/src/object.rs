@@ -60,6 +60,14 @@ impl ObjectCodec {
         Ok(())
     }
 
+    /// Append the encoding of `Value::Array(items.to_vec())` to `out`
+    /// without building the array, so a caller can encode a tuple (or a
+    /// list of key values) it only borrows.
+    pub fn encode_array_into(&self, items: &[Value], out: &mut Vec<u8>) -> Result<()> {
+        encode_array(items, out);
+        Ok(())
+    }
+
     /// Decode a buffer produced by [`encode`](Self::encode).
     pub fn decode(&self, bytes: &[u8]) -> Result<Value> {
         let mut pos = 0usize;
@@ -119,13 +127,7 @@ fn encode(value: &Value, out: &mut Vec<u8>) {
             out.push(TAG_TIMESTAMP);
             out.extend_from_slice(&v.to_le_bytes());
         }
-        Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            write_len(items.len(), out);
-            for item in items {
-                encode(item, out);
-            }
-        }
+        Value::Array(items) => encode_array(items, out),
         Value::Map(m) => {
             out.push(TAG_MAP);
             write_len(m.len(), out);
@@ -145,6 +147,14 @@ fn encode(value: &Value, out: &mut Vec<u8>) {
                 encode(v, out);
             }
         }
+    }
+}
+
+fn encode_array(items: &[Value], out: &mut Vec<u8>) {
+    out.push(TAG_ARRAY);
+    write_len(items.len(), out);
+    for item in items {
+        encode(item, out);
     }
 }
 

@@ -76,6 +76,48 @@ fn record(rng: &mut Rng) -> (Schema, Value) {
     (schema, value)
 }
 
+/// A value of any shape: a primitive, or (while `depth` lasts) an array,
+/// a map or a record of nested values.
+fn nested(rng: &mut Rng, depth: u32) -> Value {
+    let kinds = if depth == 0 { 1 } else { 4 };
+    match rng.gen_range(0..kinds) {
+        0 => field(rng).1,
+        1 => Value::Array(
+            (0..rng.gen_range(0..5))
+                .map(|_| nested(rng, depth - 1))
+                .collect(),
+        ),
+        2 => Value::Map(
+            (0..rng.gen_range(0..4))
+                .map(|i| (format!("k{i}"), nested(rng, depth - 1)))
+                .collect(),
+        ),
+        _ => {
+            let names: Vec<String> = (0..rng.gen_range(1..4)).map(|i| format!("f{i}")).collect();
+            Value::record(
+                names
+                    .iter()
+                    .map(|n| (n.as_str(), nested(rng, depth - 1)))
+                    .collect(),
+            )
+        }
+    }
+}
+
+#[test]
+fn object_array_encodes_in_place_to_the_array_bytes() {
+    cases(256, 7, |rng| {
+        let items: Vec<Value> = (0..rng.gen_range(0..8)).map(|_| nested(rng, 3)).collect();
+        let codec = ObjectCodec::new();
+        let whole = codec.encode(&Value::Array(items.clone())).unwrap();
+        // Appends after what the buffer already holds, like `encode_into`.
+        let mut out = vec![0xAB];
+        codec.encode_array_into(&items, &mut out).unwrap();
+        assert_eq!(out[0], 0xAB);
+        assert_eq!(out[1..], whole[..]);
+    });
+}
+
 #[test]
 fn avro_roundtrip() {
     cases(256, 1, |rng| {
