@@ -68,6 +68,12 @@ if grep -rnF 'Value::Array(tuple.clone())' crates/core/src/ops; then
   echo "ci.sh: an operator clones its tuple to encode it again" >&2
   exit 1
 fi
+# Join probes read relation rows through the store's decoded-row cache: no
+# per-tuple key string, key copy, or per-batch probe memo in the SQL join.
+if grep -nF -e 'fn cache_key' -e 'format!("R{}/"' -e 'HashMap<Vec<u8>, Option<Tuple>>' crates/core/src/ops/join_relation.rs; then
+  echo "ci.sh: the SQL join's per-tuple probe key or per-batch probe memo is back" >&2
+  exit 1
+fi
 # The benchmark package (perfbench/) lives outside the workspace but builds
 # against its crates: a workspace API change that breaks it fails here, not
 # in the perf gate. It has no lockfile of its own, so it runs without

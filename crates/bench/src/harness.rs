@@ -445,7 +445,7 @@ pub fn measure_codecs(iterations: usize) -> CodecCosts {
             black_box(object.decode(&object_bytes[i]).unwrap());
         }),
         avro_array_roundtrip_ns: ns_per_record(&|i| {
-            let tuple = record_to_array(avro.decode(&avro_bytes[i]).unwrap()).unwrap();
+            let tuple = record_to_array(avro.decode(&avro_bytes[i]).unwrap(), 0).unwrap();
             let back = array_to_record(tuple, &names).unwrap();
             black_box(avro.encode(&back).unwrap());
         }),
@@ -633,19 +633,12 @@ mod tests {
         )
     }
 
-    /// Distinct products of each partition, summed. A partition's orders
-    /// reach its task as one batch when they fit one container fetch (256
-    /// records) and its task sees fewer records than the commit interval
-    /// (1 024), so on such an input this is the number of (batch, key)
-    /// pairs the SQL operators memoize.
-    fn distinct_keys_per_batch(input: &[Vec<(i64, i64)>]) -> u64 {
+    /// Distinct products of each partition, summed: the (task, key) pairs
+    /// of the input.
+    fn distinct_keys_per_task(input: &[Vec<(i64, i64)>]) -> u64 {
         input
             .iter()
             .map(|orders| {
-                assert!(
-                    orders.len() < 256,
-                    "a partition must fit one 256-record container fetch to stay one batch"
-                );
                 let keys: std::collections::BTreeSet<i64> =
                     orders.iter().map(|(_, k)| *k).collect();
                 keys.len() as u64
@@ -653,10 +646,25 @@ mod tests {
             .sum()
     }
 
+    /// [`distinct_keys_per_task`] on an input where each partition's orders
+    /// reach its task as one batch: they fit one container fetch (256
+    /// records) and its task sees fewer records than the commit interval
+    /// (1 024). On such an input this is the number of (batch, key) pairs
+    /// the SQL window memoizes.
+    fn distinct_keys_per_batch(input: &[Vec<(i64, i64)>]) -> u64 {
+        assert!(
+            input.iter().all(|orders| orders.len() < 256),
+            "a partition must fit one 256-record container fetch to stay one batch"
+        );
+        distinct_keys_per_task(input)
+    }
+
     /// Deterministic store-work gate: on a tiny seeded input, the KV work
-    /// per input tuple of each path, counted from the registry. Native
-    /// tasks pay a store read per tuple; the SQL join and window operators
-    /// memoize per batch, so they read once per distinct key per batch.
+    /// per input tuple of each path, counted from the registry. Both joins
+    /// probe through the store's decoded-row cache, so each reads a
+    /// relation key's bytes once per task. Native window tasks pay a store
+    /// read per tuple; the SQL window memoizes per batch, so it reads once
+    /// per distinct key per batch.
     #[test]
     fn store_work_per_tuple_is_pinned_on_both_paths() {
         let (partitions, n) = (4, 400);
@@ -669,31 +677,21 @@ mod tests {
         let n64 = n as u64;
         let products = ProductsSpec::default().products as u64;
 
-        // Join: each relation row is one put on both paths. Native probes
-        // the store once per order; SQL once per distinct key per batch.
+        // Join: each relation row is one put on both paths. Each path reads
+        // a product's bytes on its first probe in a task and answers every
+        // later probe of it from the decoded row (the relation does not
+        // change after the bootstrap).
         let (sql, native, input, _) = store_work_of(EvalQuery::Join, partitions, orders.clone(), n);
-        let keys = distinct_keys_per_batch(&input);
-        assert!(keys < n64, "the input must repeat keys within a batch");
-        assert_eq!(
-            native,
-            StoreWork {
-                gets: n64,
-                puts: products,
-                deletes: 0,
-                range_scans: 0
-            },
-            "native join"
-        );
-        assert_eq!(
-            sql,
-            StoreWork {
-                gets: keys,
-                puts: products,
-                deletes: 0,
-                range_scans: 0
-            },
-            "SQL join"
-        );
+        let keys = distinct_keys_per_task(&input);
+        assert!(keys < n64, "the input must repeat keys within a task");
+        let join = StoreWork {
+            gets: keys,
+            puts: products,
+            deletes: 0,
+            range_scans: 0,
+        };
+        assert_eq!(native, join, "native join");
+        assert_eq!(sql, join, "SQL join");
 
         // Window: per order, both paths store the message and range-scan
         // its group's expired messages, and delete the same expired

@@ -18,7 +18,9 @@
 //!   array-tuple intermediate.
 //! * **Join**: caches the Products relation in the KV store through the
 //!   **Avro** serde (where SamzaSQL uses the Kryo-like object serde that
-//!   profiling found >2× slower, §5.1).
+//!   profiling found >2× slower, §5.1), and probes it through the store's
+//!   decoded-row cache, as SamzaSQL's join does: a relation key is decoded
+//!   once until it changes.
 //! * **Sliding window**: the same Algorithm-1 logic, hand-written over
 //!   records, storing the already-encoded Avro payload bytes directly.
 //!
@@ -29,8 +31,8 @@
 
 use samzasql_kafka::Bytes;
 use samzasql_samza::{
-    IncomingMessageEnvelope, MessageCollector, OutgoingMessageEnvelope, Result, StreamTask,
-    TaskContext, TaskCoordinator, TaskFactory,
+    IncomingMessageEnvelope, MessageCollector, OutgoingMessageEnvelope, Result, SamzaError,
+    StreamTask, TaskContext, TaskCoordinator, TaskFactory,
 };
 use samzasql_serde::avro::AvroCodec;
 use samzasql_serde::object::ObjectCodec;
@@ -156,6 +158,8 @@ pub struct NativeJoinTask {
     products_topic: String,
     output: Arc<str>,
     buf: Vec<u8>,
+    /// Store key buffer, reused for every product key.
+    key: Vec<u8>,
 }
 
 /// Output schema of the join.
@@ -182,7 +186,16 @@ impl NativeJoinTask {
             products_topic: products_topic.to_string(),
             output: output.into(),
             buf: Vec::new(),
+            key: Vec::new(),
         }
+    }
+
+    /// Point the key buffer at the product keyed by `id`.
+    fn set_key(&mut self, id: &Value) -> Result<()> {
+        self.key.clear();
+        self.key_codec
+            .encode_into(id, &mut self.key)
+            .map_err(SamzaError::Serde)
     }
 }
 
@@ -203,25 +216,24 @@ impl StreamTask for NativeJoinTask {
                 return Ok(());
             }
             let product = self.products_codec.decode_to_tuple(&envelope.payload)?;
-            let key = self
-                .key_codec
-                .encode(&product[0])
-                .map_err(samzasql_samza::SamzaError::Serde)?;
+            self.set_key(&product[0])?;
             // Store the incoming Avro payload directly — no re-encode.
             ctx.store_mut(NATIVE_STORE)?
-                .put(&key, envelope.payload.clone())?;
+                .put(&self.key, envelope.payload.clone())?;
             return Ok(());
         }
-        // Stream side: decode the order, probe the cache (Avro deserialize).
+        // Stream side: decode the order, probe the cache (Avro deserialize
+        // when the product's row is not decoded yet).
         let order = self.orders_codec.decode_to_tuple(&envelope.payload)?;
-        let key = self
-            .key_codec
-            .encode(&order[1])
-            .map_err(samzasql_samza::SamzaError::Serde)?;
-        let Some(product_bytes) = ctx.store_mut(NATIVE_STORE)?.get(&key) else {
+        self.set_key(&order[1])?;
+        let Some(product) = ctx
+            .store_mut(NATIVE_STORE)?
+            .get_decoded(&self.key, |bytes| {
+                self.products_codec.decode_to_tuple(bytes)
+            })?
+        else {
             return Ok(());
         };
-        let product = self.products_codec.decode_to_tuple(&product_bytes)?;
         let payload = encode_payload(
             &self.out_codec,
             &mut self.buf,
@@ -491,6 +503,89 @@ mod tests {
         let codec = AvroCodec::new(join_output_schema());
         let rec = codec.decode(&outs[0]).unwrap();
         assert!(rec.field("supplierId").unwrap().as_i64().is_some());
+    }
+
+    /// A product update and a tombstone arriving between two order batches
+    /// change the second batch's output, although the first batch left
+    /// both products' rows in the store's decoded-row cache.
+    #[test]
+    fn native_join_sees_relation_changes_between_batches() {
+        use samzasql_kafka::TopicPartition;
+        use samzasql_obs::MetricsRegistry;
+        use samzasql_samza::KeyValueStore;
+
+        let mut task = NativeJoinTask::new("products", "out");
+        let mut ctx = TaskContext::new("Partition 0", 0, vec![], MetricsRegistry::new());
+        ctx.register_store(KeyValueStore::ephemeral(NATIVE_STORE));
+        let mut collector = MessageCollector::new();
+        let mut coordinator = TaskCoordinator::default();
+        let products_codec = AvroCodec::new(products_schema());
+        let orders_codec = AvroCodec::new(orders_schema());
+        let key_codec = ObjectCodec::new();
+        let envelope =
+            |topic: &str, key: Option<Bytes>, payload: Vec<u8>| IncomingMessageEnvelope {
+                tp: Arc::new(TopicPartition::new(topic, 0)),
+                offset: 0,
+                timestamp: 0,
+                key,
+                payload: Bytes::from(payload),
+            };
+        let product = |id: i32, supplier: i32| {
+            let row = Value::record(vec![
+                ("productId", Value::Int(id)),
+                ("name", Value::String(format!("product-{id}"))),
+                ("supplierId", Value::Int(supplier)),
+            ]);
+            let key = key_codec.encode(&Value::Int(id)).unwrap();
+            envelope(
+                "products",
+                Some(Bytes::from(key)),
+                products_codec.encode(&row).unwrap(),
+            )
+        };
+        let order = |id: i64, product: i32| {
+            let row = Value::record(vec![
+                ("rowtime", Value::Timestamp(id)),
+                ("productId", Value::Int(product)),
+                ("orderId", Value::Long(id)),
+                ("units", Value::Int(1)),
+                ("pad", Value::String("x".into())),
+            ]);
+            envelope("orders", None, orders_codec.encode(&row).unwrap())
+        };
+        let out_codec = AvroCodec::new(join_output_schema());
+        let mut run = |task: &mut NativeJoinTask, ctx: &mut TaskContext, batch: &[_]| {
+            task.process_batch(batch, ctx, &mut collector, &mut coordinator)
+                .unwrap();
+            collector
+                .drain()
+                .iter()
+                .map(|env| {
+                    let row = out_codec.decode_to_tuple(&env.payload).unwrap();
+                    (row[2].as_i64().unwrap(), row[4].as_i64().unwrap())
+                })
+                .collect::<Vec<_>>()
+        };
+
+        run(&mut task, &mut ctx, &[product(7, 70), product(8, 80)]);
+        let orders = [order(1, 7), order(2, 8), order(3, 7)];
+        assert_eq!(
+            run(&mut task, &mut ctx, &orders),
+            [(7, 70), (8, 80), (7, 70)]
+        );
+        let tombstone = envelope(
+            "products",
+            Some(Bytes::from(key_codec.encode(&Value::Int(8)).unwrap())),
+            Vec::new(),
+        );
+        run(&mut task, &mut ctx, &[product(7, 71), tombstone]);
+        assert_eq!(run(&mut task, &mut ctx, &orders), [(7, 71), (7, 71)]);
+        let m = ctx.store(NATIVE_STORE).unwrap().metrics();
+        assert_eq!(
+            (m.gets, m.cache_hits),
+            (4, 2),
+            "first batch: 2 decodes and 1 hit; second: 1 decode, 1 absent key, 1 hit"
+        );
     }
 
     #[test]

@@ -10,22 +10,29 @@
 //! The cache values are serialized through the **generic object codec** —
 //! the Kryo stand-in — which is precisely the serde the paper's profiling
 //! blames for the join running ~2× slower than the native Avro-based
-//! implementation (§5.1). Every distinct key of a stream batch pays one
-//! store `get` plus an object decode.
+//! implementation (§5.1). A probe reads its relation row through the
+//! store's decoded-row cache ([`KeyValueStore::get_decoded`]), the same
+//! mechanism the native join probes through: the object decode and the
+//! by-name rebuild run once per relation key until the key changes, and a
+//! cached probe costs a map lookup. The probe key `R<op>/<object-coded key>`
+//! is built in a buffer the operator reuses, its head written once, and the
+//! drained stream tuple becomes the output row, with the relation columns
+//! cloned into it.
+//!
+//! [`KeyValueStore::get_decoded`]: samzasql_samza::KeyValueStore::get_decoded
 
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::expr::CompiledExpr;
 use crate::ops::{encode_once, OpCtx, Operator, Side};
 use crate::tuple::Tuple;
 use samzasql_parser::ast::JoinKind;
 use samzasql_serde::object::ObjectCodec;
 use samzasql_serde::{Record, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Joins a stream against a bootstrap-cached relation.
 pub struct StreamToRelationJoinOp {
-    op_id: String,
     /// Extracts the join key from a stream tuple.
     stream_key: CompiledExpr,
     /// Index of the key column in relation tuples.
@@ -43,6 +50,10 @@ pub struct StreamToRelationJoinOp {
     codec: ObjectCodec,
     /// Encode buffer reused for every cached relation record.
     buf: Vec<u8>,
+    /// Store key buffer: `R<op>/`, written once, then the key suffix.
+    key: Vec<u8>,
+    /// Length of the `R<op>/` head of `key`.
+    head: usize,
 }
 
 impl StreamToRelationJoinOp {
@@ -56,8 +67,9 @@ impl StreamToRelationJoinOp {
         kind: JoinKind,
         residual: Option<CompiledExpr>,
     ) -> Self {
+        let op_id = op_id.into();
+        let key = format!("R{op_id}/").into_bytes();
         StreamToRelationJoinOp {
-            op_id: op_id.into(),
             stream_key,
             relation_key,
             relation_names: Arc::new(relation_names),
@@ -66,29 +78,36 @@ impl StreamToRelationJoinOp {
             residual,
             codec: ObjectCodec::new(),
             buf: Vec::new(),
+            head: key.len(),
+            key,
         }
     }
 
-    fn cache_key(&self, key: &Value) -> Result<Vec<u8>> {
-        let mut k = format!("R{}/", self.op_id).into_bytes();
-        k.extend_from_slice(&self.codec.encode(key)?);
-        Ok(k)
+    /// Point the key buffer at the relation row keyed by `key`.
+    fn set_key(&mut self, key: &Value) -> Result<()> {
+        self.key.truncate(self.head);
+        self.codec.encode_into(key, &mut self.key)?;
+        Ok(())
     }
+}
 
-    fn combine(&self, stream: &Tuple, relation: Option<&Tuple>) -> Tuple {
-        let nulls;
-        let rel: &Tuple = match relation {
-            Some(r) => r,
-            None => {
-                nulls = vec![Value::Null; self.relation_names.len()];
-                &nulls
-            }
-        };
-        if self.stream_is_left {
-            stream.iter().chain(rel.iter()).cloned().collect()
-        } else {
-            rel.iter().chain(stream.iter()).cloned().collect()
+/// Generic-object (Kryo-style) reconstruction of a cached relation row: the
+/// decoded object is accessed through its field table by name, not
+/// positionally — wire order is not trusted, exactly like reflective
+/// deserialization of a generic tuple object.
+fn decode_relation_row(codec: &ObjectCodec, names: &[String], bytes: &[u8]) -> Result<Tuple> {
+    match codec.decode(bytes)? {
+        Value::Record(record) => {
+            let table: BTreeMap<&str, &Value> = record.iter().collect();
+            Ok(names
+                .iter()
+                .map(|n| table.get(n.as_str()).map_or(Value::Null, |v| (*v).clone()))
+                .collect())
         }
+        other => Err(CoreError::Operator(format!(
+            "relation cache entry is not a record: {}",
+            other.type_name()
+        ))),
     }
 }
 
@@ -105,69 +124,45 @@ impl Operator for StreamToRelationJoinOp {
             Side::Right => {
                 for tuple in input.drain(..) {
                     let key = tuple.get(self.relation_key).cloned().unwrap_or(Value::Null);
-                    let ck = self.cache_key(&key)?;
+                    self.set_key(&key)?;
                     // Cache as a named record: the generic-object serde writes
                     // class + field names, like Kryo serializing a POJO.
                     let record = Value::Record(Record::new(self.relation_names.clone(), tuple)?);
                     let encoded = encode_once(&self.codec, &record, &mut self.buf)?;
-                    ctx.store()?.put(&ck, encoded)?;
+                    ctx.store()?.put(&self.key, encoded)?;
                 }
                 Ok(())
             }
-            // Stream tuples: probe the cache. A batch carries one side only
-            // (relation updates arrive in their own changelog-topic batches,
-            // and the router drains buffered work before applying a
-            // tombstone), so probe results can be memoized per batch: one
-            // store get + Kryo-style decode per distinct key, not per tuple.
+            // Stream tuples: probe the relation through the store's
+            // decoded-row cache, and extend the stream tuple into the
+            // joined row.
             _ => {
-                let mut probes: HashMap<Vec<u8>, Option<Tuple>> = HashMap::new();
-                for tuple in input.drain(..) {
+                let width = self.relation_names.len();
+                for mut tuple in input.drain(..) {
                     let key = self.stream_key.eval(&tuple);
-                    let ck = self.cache_key(&key)?;
-                    if !probes.contains_key(&ck) {
-                        let hit = ctx.store()?.get(&ck);
-                        let relation = match hit {
-                            Some(bytes) => match self.codec.decode(&bytes)? {
-                                Value::Record(record) => {
-                                    // Generic-object (Kryo-style) reconstruction:
-                                    // the decoded object is accessed through its
-                                    // field table by name, not positionally —
-                                    // wire order is not trusted, exactly like
-                                    // reflective deserialization of a generic
-                                    // tuple object.
-                                    let table: BTreeMap<&str, &Value> = record.iter().collect();
-                                    Some(
-                                        self.relation_names
-                                            .iter()
-                                            .map(|n| {
-                                                table
-                                                    .get(n.as_str())
-                                                    .map_or(Value::Null, |v| (*v).clone())
-                                            })
-                                            .collect::<Tuple>(),
-                                    )
-                                }
-                                _ => None,
-                            },
-                            None => None,
-                        };
-                        probes.insert(ck.clone(), relation);
-                    }
-                    let relation = probes.get(&ck).expect("just inserted");
-                    let combined = match (relation, self.kind) {
-                        (Some(rel), _) => self.combine(&tuple, Some(rel)),
-                        (None, JoinKind::Left) if self.stream_is_left => self.combine(&tuple, None),
+                    self.set_key(&key)?;
+                    let relation = ctx.store()?.get_decoded(&self.key, |bytes| {
+                        decode_relation_row(&self.codec, &self.relation_names, bytes)
+                    })?;
+                    match (relation, self.kind) {
+                        (Some(rel), _) if self.stream_is_left => tuple.extend_from_slice(rel),
+                        (Some(rel), _) => {
+                            tuple.splice(0..0, rel.iter().cloned());
+                        }
+                        (None, JoinKind::Left) if self.stream_is_left => {
+                            tuple.resize(tuple.len() + width, Value::Null)
+                        }
                         (None, JoinKind::Right) if !self.stream_is_left => {
-                            self.combine(&tuple, None)
+                            tuple.splice(0..0, std::iter::repeat_n(Value::Null, width));
                         }
                         (None, _) => continue,
-                    };
+                    }
                     if let Some(residual) = &self.residual {
-                        if !residual.eval_bool(&combined) {
+                        if !residual.eval_bool(&tuple) {
                             continue;
                         }
                     }
-                    out.push(combined);
+                    out.push(tuple);
                 }
                 Ok(())
             }
@@ -184,10 +179,10 @@ impl Operator for StreamToRelationJoinOp {
         if side == Side::Right {
             // The changelog's message key carries the relation key encoded by
             // the producer; our changelog convention writes the object-coded
-            // key value, matching cache_key's suffix.
-            let mut ck = format!("R{}/", self.op_id).into_bytes();
-            ck.extend_from_slice(key);
-            ctx.store()?.delete(&ck)?;
+            // key value, the same suffix a probe key carries.
+            self.key.truncate(self.head);
+            self.key.extend_from_slice(key);
+            ctx.store()?.delete(&self.key)?;
         }
         Ok(())
     }
@@ -319,6 +314,92 @@ mod tests {
         assert!(process(&mut j, Side::Left, order(1, 7, 5), &mut ctx)
             .unwrap()
             .is_empty());
+    }
+
+    /// A relation update and a tombstone arriving between two order batches
+    /// change the second batch's output, although the first batch left
+    /// both keys' rows in the store's decoded-row cache.
+    #[test]
+    fn relation_changes_between_batches_reach_the_next_probe() {
+        let mut store = KeyValueStore::ephemeral("s");
+        let mut late = 0;
+        let mut j = op(JoinKind::Inner);
+        let mut ctx = OpCtx {
+            store: Some(&mut store),
+            late_discards: &mut late,
+        };
+        let mut relation = vec![product(7, 70), product(8, 80)];
+        j.process_batch(Side::Right, &mut relation, &mut Vec::new(), &mut ctx)
+            .unwrap();
+        let batch = |j: &mut StreamToRelationJoinOp, ctx: &mut OpCtx<'_>| {
+            let mut orders = vec![order(1, 7, 5), order(2, 8, 6), order(3, 7, 1)];
+            let mut out = Vec::new();
+            j.process_batch(Side::Left, &mut orders, &mut out, ctx)
+                .unwrap();
+            out.iter()
+                .map(|row| (row[1].clone(), row[4].clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            batch(&mut j, &mut ctx),
+            [(7, 70), (8, 80), (7, 70)].map(|(p, s)| (Value::Int(p), Value::Int(s)))
+        );
+
+        let mut update = vec![product(7, 71)];
+        j.process_batch(Side::Right, &mut update, &mut Vec::new(), &mut ctx)
+            .unwrap();
+        let key_bytes = ObjectCodec::new().encode(&Value::Int(8)).unwrap();
+        j.on_tombstone(Side::Right, &key_bytes, &mut Vec::new(), &mut ctx)
+            .unwrap();
+        assert_eq!(
+            batch(&mut j, &mut ctx),
+            [(7, 71), (7, 71)].map(|(p, s)| (Value::Int(p), Value::Int(s)))
+        );
+        let m = store.metrics();
+        assert_eq!(
+            (m.gets, m.cache_hits),
+            (4, 2),
+            "first batch: 2 decodes and 1 hit; second: 1 decode, 1 absent key, 1 hit"
+        );
+    }
+
+    #[test]
+    fn relation_first_join_puts_relation_columns_first() {
+        // Relation on the left: (productId, supplierId, rowtime, productId, units).
+        let mut j = StreamToRelationJoinOp::new(
+            "0",
+            compile(&ScalarExpr::input(1, Schema::Int)),
+            0,
+            vec!["productId".into(), "supplierId".into()],
+            false,
+            JoinKind::Right,
+            None,
+        );
+        let mut store = KeyValueStore::ephemeral("s");
+        let mut late = 0;
+        let mut ctx = OpCtx {
+            store: Some(&mut store),
+            late_discards: &mut late,
+        };
+        process(&mut j, Side::Right, product(7, 70), &mut ctx).unwrap();
+        let mut orders = vec![order(1, 7, 5), order(2, 9, 6)];
+        let mut out = Vec::new();
+        j.process_batch(Side::Left, &mut orders, &mut out, &mut ctx)
+            .unwrap();
+        let int = Value::Int;
+        assert_eq!(
+            out,
+            vec![
+                vec![int(7), int(70), Value::Timestamp(1), int(7), int(5)],
+                vec![
+                    Value::Null,
+                    Value::Null,
+                    Value::Timestamp(2),
+                    int(9),
+                    int(6)
+                ],
+            ]
+        );
     }
 
     #[test]

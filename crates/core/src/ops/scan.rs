@@ -29,6 +29,10 @@ enum ScanMode {
 pub struct ScanOp {
     mode: ScanMode,
     arity: usize,
+    /// Columns the `AvroToArray` copy makes room for: the widest row on the
+    /// scan's path to the sink, so operators that append columns to its
+    /// tuples do not reallocate them.
+    width: usize,
 }
 
 impl ScanOp {
@@ -37,6 +41,7 @@ impl ScanOp {
         ScanOp {
             mode: ScanMode::Generic(serde),
             arity,
+            width: arity,
         }
     }
 
@@ -45,7 +50,15 @@ impl ScanOp {
         ScanOp {
             mode: ScanMode::Direct(codec),
             arity,
+            width: arity,
         }
+    }
+
+    /// Make room for `width` columns in every tuple the `AvroToArray` copy
+    /// builds (the direct path decodes into the codec's own array).
+    pub fn with_width(mut self, width: usize) -> Self {
+        self.width = width.max(self.arity);
+        self
     }
 
     /// Decode a payload into a tuple. Empty payloads are tombstones and
@@ -57,7 +70,7 @@ impl ScanOp {
         let tuple = match &self.mode {
             ScanMode::Generic(serde) => {
                 let value = serde.deserialize(payload)?;
-                record_to_array(value)?
+                record_to_array(value, self.width)?
             }
             ScanMode::Direct(codec) => codec.decode_to_tuple(payload)?,
         };
@@ -76,6 +89,7 @@ impl std::fmt::Debug for ScanOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScanOp")
             .field("arity", &self.arity)
+            .field("width", &self.width)
             .finish()
     }
 }
@@ -95,6 +109,18 @@ mod tests {
         let scan = ScanOp::new(serde, 2);
         let tuple = scan.decode(&bytes).unwrap().unwrap();
         assert_eq!(tuple, vec![Value::Int(1), Value::String("x".into())]);
+    }
+
+    #[test]
+    fn tuples_have_room_for_the_path_width() {
+        let schema = Schema::record("R", vec![("a", Schema::Int)]);
+        let serde = build_serde(SerdeFormat::Avro, schema);
+        let bytes = serde
+            .serialize(&Value::record(vec![("a", Value::Int(1))]))
+            .unwrap();
+        let scan = ScanOp::new(serde, 1).with_width(3);
+        let tuple = scan.decode(&bytes).unwrap().unwrap();
+        assert_eq!((tuple.len(), tuple.capacity()), (1, 3));
     }
 
     #[test]

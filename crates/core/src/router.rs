@@ -181,7 +181,7 @@ impl MessageRouter {
             None
         };
         router.direct_data_api = planned.direct_data_api;
-        router.build_plan(&planned.physical, root_dest, udafs)?;
+        router.build_plan(&planned.physical, root_dest, udafs, 0)?;
         Ok(router)
     }
 
@@ -267,8 +267,18 @@ impl MessageRouter {
         })
     }
 
-    fn build_plan(&mut self, plan: &PhysicalPlan, dest: Dest, udafs: &UdafRegistry) -> Result<()> {
+    /// Add `plan`'s operators, feeding `dest`. `width` is the widest row
+    /// the operators above `plan` produce; each scan makes room for the
+    /// widest row on its path to the sink.
+    fn build_plan(
+        &mut self,
+        plan: &PhysicalPlan,
+        dest: Dest,
+        udafs: &UdafRegistry,
+        width: usize,
+    ) -> Result<()> {
         let op_id = format!("{}", self.nodes.len());
+        let width = width.max(plan.output_types().len());
         match plan {
             PhysicalPlan::Scan {
                 topic,
@@ -291,7 +301,7 @@ impl MessageRouter {
                 let scan = if self.direct_data_api && *format == SerdeFormat::Avro {
                     ScanOp::direct(samzasql_serde::avro::AvroCodec::new(schema), types.len())
                 } else {
-                    ScanOp::new(build_serde(*format, schema), types.len())
+                    ScanOp::new(build_serde(*format, schema), types.len()).with_width(width)
                 };
                 self.entries.push(Entry {
                     topic: topic.clone(),
@@ -306,13 +316,13 @@ impl MessageRouter {
             PhysicalPlan::Filter { input, predicate } => {
                 let id = self.add_node(Box::new(FilterOp::new(compile(predicate))), dest);
                 self.bind_node(id);
-                self.build_plan(input, Some((id, Side::Single)), udafs)
+                self.build_plan(input, Some((id, Side::Single)), udafs, width)
             }
             PhysicalPlan::Project { input, exprs, .. } => {
                 let compiled = exprs.iter().map(compile).collect();
                 let id = self.add_node(Box::new(ProjectOp::new(compiled)), dest);
                 self.bind_node(id);
-                self.build_plan(input, Some((id, Side::Single)), udafs)
+                self.build_plan(input, Some((id, Side::Single)), udafs, width)
             }
             PhysicalPlan::WindowAggregate {
                 input,
@@ -336,7 +346,7 @@ impl MessageRouter {
                     dest,
                 );
                 self.bind_node(id);
-                self.build_plan(input, Some((id, Side::Single)), udafs)
+                self.build_plan(input, Some((id, Side::Single)), udafs, width)
             }
             PhysicalPlan::SlidingWindow {
                 input,
@@ -363,7 +373,7 @@ impl MessageRouter {
                     dest,
                 );
                 self.bind_node(id);
-                self.build_plan(input, Some((id, Side::Single)), udafs)
+                self.build_plan(input, Some((id, Side::Single)), udafs, width)
             }
             PhysicalPlan::StreamToStreamJoin {
                 left,
@@ -394,8 +404,8 @@ impl MessageRouter {
                 )?;
                 let id = self.add_node(Box::new(op), dest);
                 self.bind_node(id);
-                self.build_plan(left, Some((id, Side::Left)), udafs)?;
-                self.build_plan(right, Some((id, Side::Right)), udafs)
+                self.build_plan(left, Some((id, Side::Left)), udafs, width)?;
+                self.build_plan(right, Some((id, Side::Right)), udafs, width)
             }
             PhysicalPlan::StreamToRelationJoin {
                 stream,
@@ -445,7 +455,7 @@ impl MessageRouter {
                     node: id,
                     relation_entry: Some(self.entries.len() - 1),
                 });
-                self.build_plan(stream, Some((id, Side::Left)), udafs)
+                self.build_plan(stream, Some((id, Side::Left)), udafs, width)
             }
             PhysicalPlan::Repartition { .. } => Err(CoreError::Operator(
                 "repartition stages must be split into separate jobs before router \

@@ -567,7 +567,7 @@ impl SamzaSqlShell {
             let mut keyed: Vec<(Vec<Value>, Value)> = rows
                 .into_iter()
                 .map(|row| {
-                    let tuple = crate::tuple::record_to_array(row.clone()).unwrap_or_default();
+                    let tuple = crate::tuple::record_to_array(row.clone(), 0).unwrap_or_default();
                     (keys.iter().map(|(k, _)| k.eval(&tuple)).collect(), row)
                 })
                 .collect();

@@ -22,11 +22,14 @@ pub type Tuple = Vec<Value>;
 /// `AvroToArray`: copy a decoded record's field values into a fresh
 /// positional array, the tuple the expression layer operates on. Field
 /// order must already match the schema (the Avro codec guarantees that).
-pub fn record_to_array(value: Value) -> Result<Tuple> {
+/// The array has room for `width` columns, or for the record's fields when
+/// they are more, so operators that append columns to the tuple (a join's
+/// relation columns, a window's aggregates) extend it in place.
+pub fn record_to_array(value: Value, width: usize) -> Result<Tuple> {
     match value {
         Value::Record(record) => {
             let values = record.into_values();
-            let mut tuple = Tuple::with_capacity(values.len());
+            let mut tuple = Tuple::with_capacity(values.len().max(width));
             tuple.extend(values);
             Ok(tuple)
         }
@@ -52,8 +55,10 @@ mod tests {
     #[test]
     fn roundtrip_record_array() {
         let rec = Value::record(vec![("a", Value::Int(1)), ("b", Value::String("x".into()))]);
-        let arr = record_to_array(rec.clone()).unwrap();
+        let arr = record_to_array(rec.clone(), 0).unwrap();
         assert_eq!(arr, vec![Value::Int(1), Value::String("x".into())]);
+        assert_eq!(arr.capacity(), 2);
+        assert_eq!(record_to_array(rec.clone(), 5).unwrap().capacity(), 5);
         let names = Arc::new(vec!["a".to_string(), "b".to_string()]);
         let back = array_to_record(arr, &names).unwrap();
         assert_eq!(back, rec);
@@ -61,7 +66,7 @@ mod tests {
 
     #[test]
     fn non_record_rejected() {
-        assert!(record_to_array(Value::Int(1)).is_err());
+        assert!(record_to_array(Value::Int(1), 0).is_err());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Deterministic allocation gates for the filter path (§5.1, Figure 4) and
-//! the sliding-window path (Figure 6).
+//! Deterministic allocation gates for the filter path (§5.1, Figure 4), the
+//! stream-to-relation join (Figure 5c) and the sliding-window path
+//! (Figure 6).
 //!
 //! A counting global allocator tallies heap allocations (including
 //! reallocations) made by the calling thread only, so the other tests of
@@ -20,7 +21,9 @@ use samzasql_samza::{
     IncomingMessageEnvelope, KeyValueStore, MessageCollector, StreamTask, TaskContext,
     TaskCoordinator,
 };
-use samzasql_workload::{orders_schema, OrdersGenerator, OrdersSpec};
+use samzasql_workload::{
+    orders_schema, products_schema, OrdersGenerator, OrdersSpec, ProductsGenerator, ProductsSpec,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -72,14 +75,19 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 const JOB: &str = "alloc-gate";
 
-/// A task running `sql` over the Orders stream, and its partition-0
-/// context; the caller registers any store and then calls `init`.
+/// A task running `sql` over the Orders stream and the Products relation
+/// (changelog topic `products`), and its partition-0 context; the caller
+/// registers any store and then calls `init`.
 fn orders_task(sql: &str) -> (SamzaSqlTask, TaskContext) {
     let mut catalog = Catalog::new();
     catalog
         .register_stream("Orders", "orders", orders_schema(), "rowtime")
         .unwrap();
     catalog.set_partition_key("Orders", "productId").unwrap();
+    catalog
+        .register_table("Products", "products", products_schema())
+        .unwrap();
+    catalog.set_partition_key("Products", "productId").unwrap();
     let coord = Coord::new();
     coord
         .upsert(format!("/samzasql/queries/{JOB}/sql"), sql)
@@ -108,8 +116,16 @@ fn envelopes(
     n: usize,
     first_offset: u64,
 ) -> Vec<IncomingMessageEnvelope> {
-    let tp = Arc::new(TopicPartition::new("orders", 0));
-    gen.messages(n)
+    on_topic("orders", gen.messages(n), first_offset)
+}
+
+fn on_topic(
+    topic: &str,
+    messages: Vec<samzasql_kafka::Message>,
+    first_offset: u64,
+) -> Vec<IncomingMessageEnvelope> {
+    let tp = Arc::new(TopicPartition::new(topic, 0));
+    messages
         .into_iter()
         .zip(first_offset..)
         .map(|(m, offset)| IncomingMessageEnvelope {
@@ -184,24 +200,26 @@ const WINDOW_SQL: &str = "SELECT STREAM rowtime, productId, units, \
      RANGE INTERVAL '5' MINUTE PRECEDING) unitsLastFiveMinutes FROM Orders";
 
 /// Per order while nothing expires: the Avro decode's value array and its
-/// `pad` string, the fresh tuple array, that array's growth when the window
-/// appends its SUM column, the message-store value and key (each copied
-/// once out of the operator's reused buffers into what the store keeps),
-/// the projected output tuple, and the encoded output payload.
-const WINDOW_ALLOCS_PER_ORDER: u64 = 8;
+/// `pad` string, the fresh tuple array (with room for the SUM column the
+/// window appends, so it never grows), the message-store value and key
+/// (each copied once out of the operator's reused buffers into what the
+/// store keeps), the projected output tuple, and the encoded output
+/// payload.
+const WINDOW_ALLOCS_PER_ORDER: u64 = 7;
 
 /// The no-purge stretch: 200 orders over 85 products. Its budget is
-/// 8 allocations per order (1 600) plus about 8 per product the batch
+/// 7 allocations per order (1 400) plus about 8 per product the batch
 /// touches (the group key the batch memoizes, the state bundle's decode and
-/// its re-encode, about 680) plus the ordered maps' node splits: 2 318,
-/// 11.6 per order. Before message keys and values were built in reused
-/// buffers and the store copied each key once, the same stretch made
-/// 6 052.
-const WINDOW_NO_PURGE_ALLOCS: u64 = 2318;
+/// its re-encode, about 680) plus the ordered maps' node splits: 2 118,
+/// 10.6 per order. Before the scan made room for the SUM column it was
+/// 2 318, and before message keys and values were built in reused buffers
+/// and the store copied each key once, 6 052.
+const WINDOW_NO_PURGE_ALLOCS: u64 = 2118;
 /// The purge stretch: 300 orders, most of which expire an older message of
 /// their product; each purging order also pays for its range scan's result
-/// and the decode of every expired message (9 491 before).
-const WINDOW_PURGE_ALLOCS: u64 = 3724;
+/// and the decode of every expired message (3 724 before the scan made room
+/// for the SUM column, 9 491 before the reused buffers).
+const WINDOW_PURGE_ALLOCS: u64 = 3424;
 
 #[test]
 fn window_batch_allocations_are_pinned() {
@@ -261,4 +279,57 @@ fn window_batch_allocations_are_pinned() {
         "most orders expire an older message of their product, {expired} expired"
     );
     assert_eq!(allocs, WINDOW_PURGE_ALLOCS, "300 orders with purges");
+}
+
+/// Figure 5c's query: Orders joined with the Products relation.
+const JOIN_SQL: &str = "SELECT STREAM Orders.rowtime, Orders.orderId, Orders.productId, \
+     Orders.units, Products.supplierId \
+     FROM Orders JOIN Products ON Orders.productId = Products.productId";
+
+/// Per order once every product's row is decoded: the Avro decode's value
+/// array and its `pad` string, the fresh tuple array (with room for the
+/// relation columns, which the join appends in place), the clone of the
+/// product's `name`, the projected output tuple, and the encoded output
+/// payload. The probe key is built in the operator's reused buffer and the
+/// product's row comes from the store's decoded-row cache, so neither
+/// allocates.
+const JOIN_ALLOCS_PER_ORDER: u64 = 6;
+
+#[test]
+fn join_batch_allocations_are_pinned() {
+    const N: usize = 500;
+    let (mut task, mut ctx) = orders_task(JOIN_SQL);
+    ctx.register_store(KeyValueStore::ephemeral(STATE_STORE));
+    task.init(&mut ctx).unwrap();
+    let mut collector = MessageCollector::new();
+    let mut coordinator = TaskCoordinator::default();
+    let mut sent = Vec::new();
+
+    // Bootstrap the whole relation, then a warm-up batch grows every
+    // reusable buffer and probes every product once.
+    let products = ProductsGenerator::new(ProductsSpec::default()).snapshot();
+    let mut gen = OrdersGenerator::new(OrdersSpec::default());
+    let warm = envelopes(&mut gen, 2 * N, 0);
+    for batch in [on_topic("products", products, 0), warm] {
+        task.process_batch(&batch, &mut ctx, &mut collector, &mut coordinator)
+            .unwrap();
+        collector.drain_into(&mut sent);
+        sent.clear();
+    }
+    let gets = |ctx: &TaskContext| ctx.store(STATE_STORE).unwrap().metrics().gets;
+    let warm_gets = gets(&ctx);
+
+    let batch = envelopes(&mut gen, N, 2 * N as u64);
+    let (allocs, processed) = allocations(|| {
+        task.process_batch(&batch, &mut ctx, &mut collector, &mut coordinator)
+            .unwrap()
+    });
+    assert_eq!(processed, N);
+    assert_eq!(collector.len(), N, "every order joins one product");
+    assert_eq!(
+        allocs,
+        JOIN_ALLOCS_PER_ORDER * N as u64,
+        "{N} orders made {allocs} allocations, expected {JOIN_ALLOCS_PER_ORDER} per order"
+    );
+    assert_eq!(gets(&ctx), warm_gets, "every probe hits a decoded row");
 }

@@ -19,6 +19,20 @@
 //! of these accesses, a range scan and the serde around them, not because
 //! any one access is slow.
 //!
+//! In front of the bytes sits a read cache of decoded rows, as Samza's
+//! `CachedStore` puts an object cache in front of every task's store:
+//! [`get_decoded`](KeyValueStore::get_decoded) decodes a key's value
+//! through the caller's codec the first time it is read and keeps the row
+//! in the key's own map entry, so later reads of that key until it changes
+//! cost a map lookup and no serde. `put`, `delete` and `restore` replace or
+//! drop the whole entry, so a stale row cannot outlive its bytes, and the
+//! cache holds at most one row per live key: it needs no capacity setting
+//! and no eviction. Stores whose callers never ask for a decoded row (the
+//! windows) keep an empty slot beside each value and do no other work. Both
+//! stream-to-relation joins, SamzaSQL's and the native one, probe their
+//! relation through it; a probe that finds its row counts as a cache hit,
+//! not as a get.
+//!
 //! Every mutation is mirrored to a changelog topic partition; restoring a
 //! store means replaying that partition from the beginning (deletes are
 //! tombstones: a null/empty value). Changelog writes are **buffered** and
@@ -35,6 +49,7 @@
 use crate::error::Result;
 use samzasql_kafka::{AckMode, Broker, Bytes, Message, Retrier};
 use samzasql_obs::{Counter, MetricsRegistry};
+use samzasql_serde::Value;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -42,6 +57,7 @@ use std::ops::Bound;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreMetricsSnapshot {
     pub gets: u64,
+    pub cache_hits: u64,
     pub puts: u64,
     pub deletes: u64,
     pub range_scans: u64,
@@ -54,7 +70,11 @@ pub struct StoreMetricsSnapshot {
 /// builds; a store built on its own counts into unregistered handles.
 #[derive(Debug, Default)]
 pub struct StoreMetrics {
+    /// Reads of a value's bytes: every `get`, and every `get_decoded` whose
+    /// row was not cached.
     pub gets: Counter,
+    /// `get_decoded` calls answered by a cached row.
+    pub cache_hits: Counter,
     pub puts: Counter,
     pub deletes: Counter,
     pub range_scans: Counter,
@@ -68,6 +88,7 @@ impl StoreMetrics {
         let counter = |name: &str| registry.counter(&format!("samza.store.{name}"), labels);
         StoreMetrics {
             gets: counter("gets"),
+            cache_hits: counter("cache_hits"),
             puts: counter("puts"),
             deletes: counter("deletes"),
             range_scans: counter("range_scans"),
@@ -77,10 +98,24 @@ impl StoreMetrics {
     }
 }
 
+/// One key's map entry: its serialized value, and the row a reader decoded
+/// from exactly those bytes. A write replaces the whole slot.
+#[derive(Debug)]
+struct Slot {
+    bytes: Bytes,
+    row: Option<Box<[Value]>>,
+}
+
+impl Slot {
+    fn new(bytes: Bytes) -> Self {
+        Slot { bytes, row: None }
+    }
+}
+
 /// Byte-level ordered key-value store with optional changelog.
 pub struct KeyValueStore {
     name: String,
-    data: BTreeMap<Bytes, Bytes>,
+    data: BTreeMap<Bytes, Slot>,
     /// Changelog destination: (broker, topic, partition).
     changelog: Option<(Broker, String, u32)>,
     /// Mutations not yet flushed to the changelog (key, value-or-tombstone).
@@ -139,11 +174,36 @@ impl KeyValueStore {
     /// Get the serialized value for a key.
     pub fn get(&self, key: &[u8]) -> Option<Bytes> {
         self.metrics.gets.inc();
-        let v = self.data.get(key).cloned();
+        let v = self.data.get(key).map(|slot| slot.bytes.clone());
         if let Some(ref b) = v {
             self.metrics.bytes_read.add(b.len() as u64);
         }
         v
+    }
+
+    /// The row `key`'s value decodes to, through `decode`, or `None` when
+    /// the key is absent. The first read after the key was written decodes
+    /// its bytes and counts as a get; the row stays in the key's entry, so
+    /// reads until the next `put`, `delete` or `restore` of the key return
+    /// it without decoding and count as cache hits. Every reader of one key
+    /// must decode it alike: the row is whichever the first reader built.
+    pub fn get_decoded<E>(
+        &mut self,
+        key: &[u8],
+        decode: impl FnOnce(&[u8]) -> std::result::Result<Vec<Value>, E>,
+    ) -> std::result::Result<Option<&[Value]>, E> {
+        let Some(slot) = self.data.get_mut(key) else {
+            self.metrics.gets.inc();
+            return Ok(None);
+        };
+        if slot.row.is_some() {
+            self.metrics.cache_hits.inc();
+        } else {
+            self.metrics.gets.inc();
+            self.metrics.bytes_read.add(slot.bytes.len() as u64);
+            slot.row = Some(decode(&slot.bytes)?.into_boxed_slice());
+        }
+        Ok(slot.row.as_deref())
     }
 
     /// Put a serialized value; the changelog entry is buffered until
@@ -162,7 +222,7 @@ impl KeyValueStore {
         if self.changelog.is_some() {
             self.pending.push((key.clone(), value.clone()));
         }
-        self.data.insert(key, value);
+        self.data.insert(key, Slot::new(value));
         Ok(())
     }
 
@@ -222,9 +282,9 @@ impl KeyValueStore {
         let out: Vec<(Bytes, Bytes)> = self
             .data
             .range::<[u8], _>((Bound::Included(from), Bound::Excluded(to)))
-            .map(|(k, v)| {
-                read += v.len() as u64;
-                (k.clone(), v.clone())
+            .map(|(k, slot)| {
+                read += slot.bytes.len() as u64;
+                (k.clone(), slot.bytes.clone())
             })
             .collect();
         self.metrics.bytes_read.add(read);
@@ -236,7 +296,7 @@ impl KeyValueStore {
         self.metrics.range_scans.inc();
         self.data
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, slot)| (k.clone(), slot.bytes.clone()))
             .collect()
     }
 
@@ -251,7 +311,8 @@ impl KeyValueStore {
     }
 
     /// Replay the changelog partition from the beginning, rebuilding state.
-    /// Used on task restart; the in-memory map is rebuilt exactly.
+    /// Used on task restart; the in-memory map is rebuilt exactly, and no
+    /// decoded row survives it.
     pub fn restore(&mut self) -> Result<u64> {
         let Some((broker, topic, partition)) = self.changelog.clone() else {
             return Ok(0);
@@ -272,7 +333,7 @@ impl KeyValueStore {
                 if rec.message.value.is_empty() {
                     self.data.remove(&key[..]);
                 } else {
-                    self.data.insert(key, rec.message.value.clone());
+                    self.data.insert(key, Slot::new(rec.message.value.clone()));
                 }
                 applied += 1;
             }
@@ -285,6 +346,7 @@ impl KeyValueStore {
         let m = &self.metrics;
         StoreMetricsSnapshot {
             gets: m.gets.get(),
+            cache_hits: m.cache_hits.get(),
             puts: m.puts.get(),
             deletes: m.deletes.get(),
             range_scans: m.range_scans.get(),
@@ -407,6 +469,111 @@ mod tests {
         s.flush_changelog().unwrap();
         assert_eq!(s.pending_changelog(), 0);
         assert_eq!(broker.end_offset("clog", 0).unwrap(), 1);
+    }
+
+    /// Decode a test value: one `Int` per byte, so a row shows exactly
+    /// which bytes it came from.
+    fn bytes_row(bytes: &[u8]) -> std::result::Result<Vec<Value>, ()> {
+        Ok(bytes.iter().map(|b| Value::Int(*b as i32)).collect())
+    }
+
+    fn row(bytes: &[u8]) -> Vec<Value> {
+        bytes_row(bytes).unwrap()
+    }
+
+    #[test]
+    fn decoded_row_is_cached_until_the_key_changes() {
+        let mut s = KeyValueStore::ephemeral("s");
+        s.put(b"k", Bytes::from_static(b"\x01\x02")).unwrap();
+        let mut decodes = 0;
+        for _ in 0..3 {
+            let got = s.get_decoded(b"k", |b| {
+                decodes += 1;
+                bytes_row(b)
+            });
+            assert_eq!(got.unwrap(), Some(&row(&[1, 2])[..]));
+        }
+        assert_eq!(decodes, 1, "later reads hit the cached row");
+        let m = s.metrics();
+        assert_eq!((m.gets, m.cache_hits, m.bytes_read), (1, 2, 2));
+
+        // A put replaces the row with the new bytes' decode.
+        s.put(b"k", Bytes::from_static(b"\x03")).unwrap();
+        assert_eq!(
+            s.get_decoded(b"k", bytes_row).unwrap(),
+            Some(&row(&[3])[..])
+        );
+        // A delete drops it.
+        s.delete(b"k").unwrap();
+        assert_eq!(s.get_decoded(b"k", bytes_row).unwrap(), None);
+        s.put(b"k", Bytes::from_static(b"\x04")).unwrap();
+        assert_eq!(
+            s.get_decoded(b"k", bytes_row).unwrap(),
+            Some(&row(&[4])[..])
+        );
+        let m = s.metrics();
+        assert_eq!((m.gets, m.cache_hits), (4, 2), "absent keys count a get");
+    }
+
+    #[test]
+    fn failed_decode_caches_nothing() {
+        let mut s = KeyValueStore::ephemeral("s");
+        s.put(b"k", Bytes::from_static(b"\x01")).unwrap();
+        assert_eq!(s.get_decoded(b"k", |_| Err("corrupt")), Err("corrupt"));
+        assert_eq!(
+            s.get_decoded(b"k", bytes_row).unwrap(),
+            Some(&row(&[1])[..])
+        );
+        assert_eq!(s.metrics().cache_hits, 0);
+    }
+
+    #[test]
+    fn restore_drops_decoded_rows() {
+        let broker = Broker::new();
+        broker
+            .create_topic("clog", TopicConfig::with_partitions(1))
+            .unwrap();
+        let mut s = KeyValueStore::with_changelog("s", broker.clone(), "clog", 0);
+        s.put(b"k", Bytes::from_static(b"\x01")).unwrap();
+        s.flush_changelog().unwrap();
+        assert_eq!(
+            s.get_decoded(b"k", bytes_row).unwrap(),
+            Some(&row(&[1])[..])
+        );
+        // Another incarnation rewrites the key; this store restores it.
+        let mut other = KeyValueStore::with_changelog("s", broker.clone(), "clog", 0);
+        other.put(b"k", Bytes::from_static(b"\x02")).unwrap();
+        other.flush_changelog().unwrap();
+        s.restore().unwrap();
+        assert_eq!(
+            s.get_decoded(b"k", bytes_row).unwrap(),
+            Some(&row(&[2])[..])
+        );
+    }
+
+    /// Over random put/delete/get sequences on a few keys, every
+    /// `get_decoded` equals a fresh decode of the key's current bytes.
+    #[test]
+    fn decoded_reads_match_a_fresh_decode() {
+        samzasql_testkit::cases(256, 21, |rng| {
+            let mut s = KeyValueStore::ephemeral("s");
+            for _ in 0..rng.gen_range(1..64) {
+                let key = [b'a' + rng.gen_range(0u8..4)];
+                match rng.gen_range(0..4) {
+                    0 => {
+                        let len = rng.gen_range(0..4);
+                        let value: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..8)).collect();
+                        s.put(&key, Bytes::from(value)).unwrap();
+                    }
+                    1 => s.delete(&key).unwrap(),
+                    _ => {
+                        let fresh = s.get(&key).map(|b| row(&b));
+                        let cached = s.get_decoded(&key, bytes_row).unwrap();
+                        assert_eq!(cached, fresh.as_deref(), "key {key:?}");
+                    }
+                }
+            }
+        });
     }
 
     #[test]
