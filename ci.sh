@@ -74,6 +74,18 @@ if grep -nF -e 'fn cache_key' -e 'format!("R{}/"' -e 'HashMap<Vec<u8>, Option<Tu
   echo "ci.sh: the SQL join's per-tuple probe key or per-batch probe memo is back" >&2
   exit 1
 fi
+# Commits move their batches into the log: a retried produce hands the
+# broker its batch by `&mut`, never a per-attempt clone of it.
+if grep -nF -e 'messages.clone()' -e 'run.clone()' crates/samza/src/kv.rs crates/samza/src/container.rs; then
+  echo "ci.sh: a commit clones its batch for a retried produce" >&2
+  exit 1
+fi
+# One map search per store access: `put` enters the map once on its key
+# copy instead of looking the key up before inserting it.
+if grep -nF 'get_key_value' crates/samza/src/kv.rs; then
+  echo "ci.sh: the store searches its map twice per put" >&2
+  exit 1
+fi
 # The benchmark package (perfbench/) lives outside the workspace but builds
 # against its crates: a workspace API change that breaks it fails here, not
 # in the perf gate. It has no lockfile of its own, so it runs without

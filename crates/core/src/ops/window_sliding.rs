@@ -160,11 +160,15 @@ impl Operator for SlidingWindowOp {
             self.group.clear();
             self.codec
                 .encode_array_into(&self.group_vals, &mut self.group)?;
-            if !states.contains_key(&self.group[..]) {
-                let state = self.load_state(ctx)?;
-                states.insert(self.group.clone(), state);
-            }
-            let state = states.get_mut(&self.group[..]).expect("just inserted");
+            // One lookup per tuple; the owned group key is built only when
+            // the group first appears in the batch.
+            let state = match states.get_mut(&self.group[..]) {
+                Some(state) => state,
+                None => {
+                    let state = self.load_state(ctx)?;
+                    states.entry(self.group.clone()).or_insert(state)
+                }
+            };
             let (ref mut accs, ref mut seq, ref mut max_ts) = *state;
 
             // Out-of-order arrival beyond the retained window: the paper's

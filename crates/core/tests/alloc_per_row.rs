@@ -18,8 +18,8 @@ use samzasql_kafka::{Broker, Bytes, TopicConfig, TopicPartition};
 use samzasql_obs::MetricsRegistry;
 use samzasql_planner::{Catalog, Planner};
 use samzasql_samza::{
-    IncomingMessageEnvelope, KeyValueStore, MessageCollector, StreamTask, TaskContext,
-    TaskCoordinator,
+    IncomingMessageEnvelope, KeyValueStore, MessageCollector, StoreMetricsSnapshot, StreamTask,
+    TaskContext, TaskCoordinator,
 };
 use samzasql_workload::{
     orders_schema, products_schema, OrdersGenerator, OrdersSpec, ProductsGenerator, ProductsSpec,
@@ -208,18 +208,28 @@ const WINDOW_SQL: &str = "SELECT STREAM rowtime, productId, units, \
 const WINDOW_ALLOCS_PER_ORDER: u64 = 7;
 
 /// The no-purge stretch: 200 orders over 85 products. Its budget is
-/// 7 allocations per order (1 400) plus about 8 per product the batch
+/// 7 allocations per order (1 400) plus about 9 per product the batch
 /// touches (the group key the batch memoizes, the state bundle's decode and
-/// its re-encode, about 680) plus the ordered maps' node splits: 2 118,
-/// 10.6 per order. Before the scan made room for the SUM column it was
-/// 2 318, and before message keys and values were built in reused buffers
-/// and the store copied each key once, 6 052.
-const WINDOW_NO_PURGE_ALLOCS: u64 = 2118;
+/// its re-encode, and the key copy the store's one-search `put` makes and
+/// drops when it overwrites the bundle, about 765) plus the ordered maps'
+/// node splits: 2 202, 11.0 per order. It was 2 118 while `put` searched
+/// the map twice to reuse a present key (one copy fewer for each of the 84
+/// bundles the batch overwrites); before the scan made room for the SUM
+/// column 2 318, and before message keys and values were built in reused
+/// buffers and the store copied each key once, 6 052. The commit after the
+/// batch is not counted, so the changelog message vectors commits no longer
+/// build move neither pin.
+const WINDOW_NO_PURGE_ALLOCS: u64 = 2202;
+/// State bundles the no-purge stretch overwrites: every product it touches
+/// but the one it meets for the first time.
+const WINDOW_NO_PURGE_OVERWRITES: u64 = 84;
 /// The purge stretch: 300 orders, most of which expire an older message of
 /// their product; each purging order also pays for its range scan's result
-/// and the decode of every expired message (3 724 before the scan made room
-/// for the SUM column, 9 491 before the reused buffers).
-const WINDOW_PURGE_ALLOCS: u64 = 3424;
+/// and the decode of every expired message, and each of the 94 bundles it
+/// overwrites for a key copy (3 424 with the two-search `put`, 3 724 before
+/// the scan made room for the SUM column, 9 491 before the reused buffers).
+const WINDOW_PURGE_ALLOCS: u64 = 3518;
+const WINDOW_PURGE_OVERWRITES: u64 = 94;
 
 #[test]
 fn window_batch_allocations_are_pinned() {
@@ -245,6 +255,20 @@ fn window_batch_allocations_are_pinned() {
     let mut collector = MessageCollector::new();
     let mut coordinator = TaskCoordinator::default();
     let mut sent = Vec::new();
+    // State bundles a batch overwrites: its puts are one per order plus one
+    // per group it touches, and the store grows by one key per order and
+    // per new group, less what the purge deletes.
+    let overwrites = |ctx: &TaskContext, before: (StoreMetricsSnapshot, usize), orders: u64| {
+        let store = ctx.store(STATE_STORE).unwrap();
+        let (m, len) = (store.metrics(), store.len());
+        let groups = m.puts - before.0.puts - orders;
+        let grown = (len + (m.deletes - before.0.deletes) as usize - before.1) as u64;
+        groups - (grown - orders)
+    };
+    let snapshot = |ctx: &TaskContext| {
+        let store = ctx.store(STATE_STORE).unwrap();
+        (store.metrics(), store.len())
+    };
     let mut run = |batch: &[IncomingMessageEnvelope], ctx: &mut TaskContext| {
         let (allocs, processed) = allocations(|| {
             task.process_batch(batch, ctx, &mut collector, &mut coordinator)
@@ -266,13 +290,17 @@ fn window_batch_allocations_are_pinned() {
     assert_eq!(deletes(&ctx), 0);
 
     let no_purge = envelopes(&mut gen, 200, 400);
+    let before = snapshot(&ctx);
     let allocs = run(&no_purge, &mut ctx);
     assert_eq!(deletes(&ctx), 0, "nothing expires in the first 5 minutes");
+    assert_eq!(overwrites(&ctx, before, 200), WINDOW_NO_PURGE_OVERWRITES);
     assert!(allocs >= WINDOW_ALLOCS_PER_ORDER * 200);
     assert_eq!(allocs, WINDOW_NO_PURGE_ALLOCS, "200 orders, no purges");
 
     let purge = envelopes(&mut gen, 300, 600);
+    let before = snapshot(&ctx);
     let allocs = run(&purge, &mut ctx);
+    assert_eq!(overwrites(&ctx, before, 300), WINDOW_PURGE_OVERWRITES);
     let expired = deletes(&ctx);
     assert!(
         expired > 200,

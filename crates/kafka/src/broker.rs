@@ -314,48 +314,47 @@ impl Broker {
         message: Message,
         acks: AckMode,
     ) -> Result<u64> {
-        let offsets = self.append(topic, partition, acks, std::iter::once(message))?;
+        let offsets = self.append(topic, partition, acks, || std::iter::once(message))?;
         Ok(offsets.start)
     }
 
     /// Append a batch of messages to one partition, acquiring the partition
     /// log's write lock once for the whole batch (and checking acks once).
-    /// Returns the assigned offsets in input order — consecutive, since the
-    /// lock is held across the batch.
+    /// The messages are moved out of `messages` only once the fault and ack
+    /// gates have passed: a rejected call leaves the batch as it was, so a
+    /// retry hands the same batch over again, and an accepted one leaves it
+    /// empty with its capacity. Returns the assigned offsets, consecutive in
+    /// input order since the lock is held across the batch.
     pub fn produce_batch(
         &self,
         topic: &str,
         partition: u32,
-        messages: Vec<Message>,
+        mut messages: impl AsMut<Vec<Message>>,
         acks: AckMode,
-    ) -> Result<Vec<u64>> {
+    ) -> Result<Range<u64>> {
+        let messages = messages.as_mut();
         if messages.is_empty() {
-            return Ok(Vec::new());
+            return Ok(0..0);
         }
-        Ok(self.append(topic, partition, acks, messages)?.collect())
+        self.append(topic, partition, acks, || messages.drain(..))
     }
 
-    /// The one append path: fault and ack gates, then every message under
-    /// one write lock, then the traffic counters and one append signal.
-    /// Returns the range of assigned offsets.
-    fn append(
+    /// The one append path: fault and ack gates, then every message
+    /// `take` yields under one write lock (the log grows once for the
+    /// batch), then the traffic counters and one append signal. `take`
+    /// runs only once the gates have passed. Returns the range of assigned
+    /// offsets.
+    fn append<I: IntoIterator<Item = Message>>(
         &self,
         topic: &str,
         partition: u32,
         acks: AckMode,
-        messages: impl IntoIterator<Item = Message>,
+        take: impl FnOnce() -> I,
     ) -> Result<Range<u64>> {
         let (offsets, bytes) = self.with_log(topic, partition, |log| {
             self.intercept(FaultOp::Produce, topic, partition)?;
             self.check_leader_and_acks(topic, partition, acks)?;
-            let mut log = log.write().unwrap();
-            let first = log.end_offset();
-            let mut bytes = 0u64;
-            for message in messages {
-                bytes += message.payload_len() as u64;
-                log.append(message);
-            }
-            Ok((first..log.end_offset(), bytes))
+            Ok(log.write().unwrap().extend(take()))
         })?;
         let counters = &self.inner.counters;
         counters.messages_in.add(offsets.end - offsets.start);
@@ -674,15 +673,12 @@ mod tests {
         b.create_topic("t", TopicConfig::with_partitions(2))
             .unwrap();
         b.produce("t", 0, Message::new("seed")).unwrap();
+        let mut batch = vec![Message::new("a"), Message::new("b"), Message::new("c")];
         let offs = b
-            .produce_batch(
-                "t",
-                0,
-                vec![Message::new("a"), Message::new("b"), Message::new("c")],
-                AckMode::Leader,
-            )
+            .produce_batch("t", 0, &mut batch, AckMode::Leader)
             .unwrap();
-        assert_eq!(offs, vec![1, 2, 3]);
+        assert_eq!(offs, 1..4);
+        assert!(batch.is_empty(), "an accepted batch is moved into the log");
         assert!(b
             .produce_batch("t", 0, Vec::new(), AckMode::Leader)
             .unwrap()
@@ -690,6 +686,47 @@ mod tests {
         let fetched = b.fetch("t", 0, 1, 10).unwrap();
         assert_eq!(fetched.records.len(), 3);
         assert_eq!(fetched.records[2].message.value.as_ref(), b"c");
+    }
+
+    /// A produce that hits an injected fault takes nothing from the
+    /// caller's batch and appends nothing; the retried call appends each
+    /// message once, at consecutive offsets.
+    #[test]
+    fn faulted_produce_batch_keeps_the_batch_for_the_retry() {
+        use crate::fault::{FaultKind, FaultSchedule, FaultSpec};
+        use crate::retry::Retrier;
+
+        let b = Broker::new();
+        b.create_topic("t", TopicConfig::with_partitions(1))
+            .unwrap();
+        // The first two produce calls on the partition fail.
+        b.set_fault_injector(Some(FaultInjector::with_specs(
+            7,
+            vec![FaultSpec::any(
+                FaultKind::TransientError,
+                FaultSchedule::Window { from: 0, count: 2 },
+            )
+            .on_op(FaultOp::Produce)],
+        )));
+        let sent = vec![Message::new("a"), Message::new("b"), Message::new("c")];
+        let mut batch = sent.clone();
+        assert!(b
+            .produce_batch("t", 0, &mut batch, AckMode::Leader)
+            .is_err());
+        assert_eq!(batch, sent, "a rejected batch is left as it was");
+        assert_eq!(b.end_offset("t", 0).unwrap(), 0);
+        assert_eq!(traffic(&b)[0], 0);
+
+        // One more failed attempt, then the retrier's next one lands.
+        let offs = Retrier::default()
+            .run(|| b.produce_batch("t", 0, &mut batch, AckMode::Leader))
+            .unwrap();
+        assert_eq!(offs, 0..3);
+        assert!(batch.is_empty());
+        let fetched = b.fetch("t", 0, 0, 10).unwrap();
+        let got: Vec<Message> = fetched.records.into_iter().map(|r| r.message).collect();
+        assert_eq!(got, sent, "each message appended once, in order");
+        assert_eq!(traffic(&b)[0], 3);
     }
 
     #[test]

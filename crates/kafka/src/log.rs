@@ -9,6 +9,7 @@
 
 use crate::error::{KafkaError, Result};
 use crate::message::Message;
+use std::ops::Range;
 
 /// One record as stored in (and fetched from) the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,9 +68,21 @@ impl PartitionLog {
 
     /// Append a message. Returns the assigned offset.
     pub fn append(&mut self, message: Message) -> u64 {
-        let offset = self.end_offset();
-        self.records.push(Record { offset, message });
-        offset
+        self.extend(std::iter::once(message)).0.start
+    }
+
+    /// Append every message `messages` yields, in order, growing the log
+    /// once by the iterator's length. Returns the assigned offsets and the
+    /// payload bytes appended.
+    pub fn extend(&mut self, messages: impl IntoIterator<Item = Message>) -> (Range<u64>, u64) {
+        let first = self.end_offset();
+        let mut bytes = 0u64;
+        self.records
+            .extend(messages.into_iter().zip(first..).map(|(message, offset)| {
+                bytes += message.payload_len() as u64;
+                Record { offset, message }
+            }));
+        (first..self.end_offset(), bytes)
     }
 
     /// Fetch up to `max_records` starting at `from_offset`.

@@ -43,10 +43,18 @@ struct TaskInstance {
     rotation: usize,
     processed_since_commit: u64,
     shutdown: bool,
-    /// Reusable buffer for draining the collector on flush (capacity
-    /// persists across flushes).
-    out_scratch: Vec<OutgoingMessageEnvelope>,
+    /// Reusable buffers for flushing the collector (capacity persists
+    /// across flushes).
+    out_scratch: OutScratch,
     counters: TaskCounters,
+}
+
+/// A task's flush buffers: the envelopes drained from its collector, and
+/// the run of messages bound for one partition that each append empties.
+#[derive(Default)]
+struct OutScratch {
+    envelopes: Vec<OutgoingMessageEnvelope>,
+    run: Vec<Message>,
 }
 
 /// A task's `samza.task.*` counters.
@@ -184,7 +192,7 @@ impl Container {
                 rotation: 0,
                 processed_since_commit: 0,
                 shutdown: false,
-                out_scratch: Vec::new(),
+                out_scratch: OutScratch::default(),
                 counters: TaskCounters::new(registry, &labels),
             });
         }
@@ -504,10 +512,16 @@ impl Container {
         broker: &Broker,
         retrier: &Retrier,
         collector: &mut MessageCollector,
-        scratch: &mut Vec<OutgoingMessageEnvelope>,
+        scratch: &mut OutScratch,
         sent: &Counter,
         task_partition: u32,
     ) -> Result<()> {
+        let OutScratch {
+            envelopes: scratch,
+            run,
+        } = scratch;
+        // A run a failed flush left behind was never appended.
+        run.clear();
         collector.drain_into(scratch);
         sent.add(scratch.len() as u64);
         if scratch.is_empty() {
@@ -533,11 +547,14 @@ impl Container {
             }
         }
         scratch.sort_by(|a, b| (&*a.topic, a.partition).cmp(&(&*b.topic, b.partition)));
+        // Each accepted append moves the run's messages into the log and
+        // leaves the run buffer empty for the next run. The broker rejects a
+        // faulted batch before taking anything from it, so a retried append
+        // sends the same run again and never duplicates records.
         let mut i = 0;
         while i < scratch.len() {
             let topic = Arc::clone(&scratch[i].topic);
             let partition = scratch[i].partition.expect("resolved above");
-            let mut run: Vec<Message> = Vec::new();
             let mut j = i;
             while j < scratch.len()
                 && *scratch[j].topic == *topic
@@ -551,11 +568,7 @@ impl Container {
                 });
                 j += 1;
             }
-            // Message payloads are refcounted, so the per-attempt clone the
-            // retrier needs is cheap. The broker rejects a faulted batch
-            // before appending anything, so retries never duplicate records.
-            retrier
-                .run(|| broker.produce_batch(&topic, partition, run.clone(), AckMode::Leader))?;
+            retrier.run(|| broker.produce_batch(&topic, partition, &mut *run, AckMode::Leader))?;
             i = j;
         }
         scratch.clear();

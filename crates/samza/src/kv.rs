@@ -7,13 +7,15 @@
 //! The store keeps **serialized bytes**, exactly like Samza's RocksDB-backed
 //! store: callers hand `put` encoded bytes and decode what `get` returns,
 //! each through its own codec (SamzaSQL's operators use the object codec,
-//! the native jobs Avro). An access costs what it really does here: the
-//! ordered-map lookup or insert, the changelog entry a mutation buffers,
-//! and one copy of the key when `put` inserts a new one. Keys are [`Bytes`]:
-//! the map, the pending changelog entry and the flushed changelog message
-//! share that one copy, a `put` that overwrites a present key reuses the
-//! map's key and copies none, and scans and restores hand out shared
-//! clones. Values arrive already encoded as `Bytes` and are never copied.
+//! the native jobs Avro). An access costs what it really does here: one
+//! search of the ordered map, the changelog entry a mutation buffers, and
+//! one copy of the key per `put`. A `put` enters the map once on its key
+//! copy; a range scan seeks its lower bound once and stops at the first
+//! key past the upper one. Keys are [`Bytes`]: for a new key the map, the
+//! pending changelog entry and the flushed changelog message share the
+//! copy, a `put` that overwrites a present key logs the map's own key and
+//! drops the copy, and scans and restores hand out shared clones. Values
+//! arrive already encoded as `Bytes` and are never copied.
 //! Figure 6's sliding window is "dominated by access to the key-value
 //! store" for both SamzaSQL and native jobs because each tuple does several
 //! of these accesses, a range scan and the serde around them, not because
@@ -35,10 +37,13 @@
 //!
 //! Every mutation is mirrored to a changelog topic partition; restoring a
 //! store means replaying that partition from the beginning (deletes are
-//! tombstones: a null/empty value). Changelog writes are **buffered** and
-//! flushed by the container during commit, immediately before the input
-//! checkpoint is written — Samza's commit sequence (flush state, then
-//! checkpoint). Flushing state first means a crash can never *lose* state
+//! tombstones: a null/empty value). Changelog writes are **buffered** as
+//! the very messages the changelog will hold, and flushed by the container
+//! during commit, immediately before the input checkpoint is written —
+//! Samza's commit sequence (flush state, then checkpoint). The flush moves
+//! its pending entries into the log in one append; an append the broker
+//! rejects takes none of them, so a retry or the next commit sends the same
+//! entries again. Flushing state first means a crash can never *lose* state
 //! the checkpoint claims to have; the converse window — crash after the
 //! changelog flush but before the checkpoint — leaves restored state
 //! *ahead* of the checkpointed positions, so replay re-applies the
@@ -50,6 +55,7 @@ use crate::error::Result;
 use samzasql_kafka::{AckMode, Broker, Bytes, Message, Retrier};
 use samzasql_obs::{Counter, MetricsRegistry};
 use samzasql_serde::Value;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -118,8 +124,9 @@ pub struct KeyValueStore {
     data: BTreeMap<Bytes, Slot>,
     /// Changelog destination: (broker, topic, partition).
     changelog: Option<(Broker, String, u32)>,
-    /// Mutations not yet flushed to the changelog (key, value-or-tombstone).
-    pending: Vec<(Bytes, Bytes)>,
+    /// Mutations not yet flushed to the changelog, as the messages the
+    /// flush moves into the log (a delete's value is an empty tombstone).
+    pending: Vec<Message>,
     metrics: StoreMetrics,
     /// Retry policy for changelog flush and restore traffic.
     retrier: Retrier,
@@ -207,22 +214,30 @@ impl KeyValueStore {
     }
 
     /// Put a serialized value; the changelog entry is buffered until
-    /// [`flush_changelog`](Self::flush_changelog). A new key is copied once,
-    /// into the `Bytes` the map and the changelog entry share; an existing
-    /// key is reused.
+    /// [`flush_changelog`](Self::flush_changelog). The key is copied once
+    /// and the map searched once: a new key's copy becomes the `Bytes` the
+    /// map and the changelog entry share, and an overwrite logs the map's
+    /// own key and drops the copy.
     pub fn put(&mut self, key: &[u8], value: Bytes) -> Result<()> {
         self.metrics.puts.inc();
         self.metrics
             .bytes_written
             .add((key.len() + value.len()) as u64);
-        let key = match self.data.get_key_value(key) {
-            Some((present, _)) => present.clone(),
-            None => Bytes::copy_from_slice(key),
+        let logged = self.changelog.is_some().then(|| value.clone());
+        let key = match self.data.entry(Bytes::copy_from_slice(key)) {
+            Entry::Occupied(mut present) => {
+                present.insert(Slot::new(value));
+                present.key().clone()
+            }
+            Entry::Vacant(new) => {
+                let key = new.key().clone();
+                new.insert(Slot::new(value));
+                key
+            }
         };
-        if self.changelog.is_some() {
-            self.pending.push((key.clone(), value.clone()));
+        if let Some(value) = logged {
+            self.pending.push(changelog_entry(key, value));
         }
-        self.data.insert(key, Slot::new(value));
         Ok(())
     }
 
@@ -236,7 +251,7 @@ impl KeyValueStore {
                 Some((present, _)) => present,
                 None => Bytes::copy_from_slice(key),
             };
-            self.pending.push((key, Bytes::new()));
+            self.pending.push(changelog_entry(key, Bytes::new()));
         }
         Ok(())
     }
@@ -245,28 +260,20 @@ impl KeyValueStore {
     /// container at commit time, just before the checkpoint write, so the
     /// durable state never runs ahead of the checkpointed input positions.
     pub fn flush_changelog(&mut self) -> Result<()> {
-        let Some((broker, topic, partition)) = self.changelog.clone() else {
+        let Some((broker, topic, partition)) = &self.changelog else {
             self.pending.clear();
             return Ok(());
         };
         if self.pending.is_empty() {
             return Ok(());
         }
-        let messages: Vec<Message> = self
-            .pending
-            .iter()
-            .map(|(key, value)| Message {
-                key: Some(key.clone()),
-                value: value.clone(),
-                timestamp: 0,
-            })
-            .collect();
-        // One batched append under retry: the broker rejects a batch before
-        // appending anything, so a retried flush never half-writes, and the
-        // pending buffer is kept on failure so the next commit re-flushes.
+        // One batched append under retry. The broker rejects a batch before
+        // taking anything from it, so a failed attempt leaves `pending`
+        // whole for the next attempt (or, once retries give up, the next
+        // commit), and a successful one moves every entry into the log and
+        // leaves the buffer empty with its capacity.
         self.retrier
-            .run(|| broker.produce_batch(&topic, partition, messages.clone(), AckMode::Leader))?;
-        self.pending.clear();
+            .run(|| broker.produce_batch(topic, *partition, &mut self.pending, AckMode::Leader))?;
         Ok(())
     }
 
@@ -276,12 +283,15 @@ impl KeyValueStore {
     }
 
     /// Iterate keys in `[from, to)` in order, yielding `(key, value)` pairs.
+    /// The scan seeks `from` once and stops at the first key `>= to`; an
+    /// empty or inverted interval yields nothing.
     pub fn range(&self, from: &[u8], to: &[u8]) -> Vec<(Bytes, Bytes)> {
         self.metrics.range_scans.inc();
         let mut read = 0u64;
         let out: Vec<(Bytes, Bytes)> = self
             .data
-            .range::<[u8], _>((Bound::Included(from), Bound::Excluded(to)))
+            .range::<[u8], _>((Bound::Included(from), Bound::Unbounded))
+            .take_while(|(k, _)| &k[..] < to)
             .map(|(k, slot)| {
                 read += slot.bytes.len() as u64;
                 (k.clone(), slot.bytes.clone())
@@ -353,6 +363,15 @@ impl KeyValueStore {
             bytes_written: m.bytes_written.get(),
             bytes_read: m.bytes_read.get(),
         }
+    }
+}
+
+/// The changelog message for one mutation of `key`.
+fn changelog_entry(key: Bytes, value: Bytes) -> Message {
+    Message {
+        key: Some(key),
+        value,
+        timestamp: 0,
     }
 }
 
@@ -449,6 +468,8 @@ mod tests {
         let mut s = KeyValueStore::with_changelog("s", broker.clone(), "clog", 0);
         s.set_retrier(Retrier::disabled());
         s.put(b"a", Bytes::from_static(b"1")).unwrap();
+        s.put(b"b", Bytes::from_static(b"2")).unwrap();
+        s.delete(b"a").unwrap();
         // Permanently failing broker: flush errors, buffer survives.
         broker.set_fault_injector(Some(FaultInjector::with_specs(
             1,
@@ -460,15 +481,121 @@ mod tests {
         assert!(s.flush_changelog().is_err());
         assert_eq!(
             s.pending_changelog(),
-            1,
+            3,
             "failed flush must not drop writes"
         );
         assert_eq!(broker.end_offset("clog", 0).unwrap(), 0);
-        // Fault clears; the next flush lands exactly one copy.
+        // Fault clears; the next flush writes every kept entry exactly
+        // once, in mutation order.
         broker.set_fault_injector(None);
         s.flush_changelog().unwrap();
         assert_eq!(s.pending_changelog(), 0);
-        assert_eq!(broker.end_offset("clog", 0).unwrap(), 1);
+        let written: Vec<(Bytes, Bytes)> = broker
+            .fetch("clog", 0, 0, 10)
+            .unwrap()
+            .records
+            .into_iter()
+            .map(|r| (r.message.key.unwrap(), r.message.value))
+            .collect();
+        assert_eq!(
+            written,
+            [("a", "1"), ("b", "2"), ("a", "")].map(|(k, v)| (Bytes::from(k), Bytes::from(v)))
+        );
+    }
+
+    /// The map's key for `key`.
+    fn map_key(s: &KeyValueStore, key: &[u8]) -> Bytes {
+        s.data.keys().find(|k| &k[..] == key).unwrap().clone()
+    }
+
+    #[test]
+    fn put_of_a_new_key_shares_one_copy_with_its_changelog_entry() {
+        let broker = Broker::new();
+        broker
+            .create_topic("clog", TopicConfig::with_partitions(1))
+            .unwrap();
+        let mut s = KeyValueStore::with_changelog("s", broker.clone(), "clog", 0);
+        s.put(b"k", Bytes::from_static(b"1")).unwrap();
+        let logged = s.pending[0].key.clone().unwrap();
+        assert_eq!(logged.as_ptr(), map_key(&s, b"k").as_ptr());
+        // The flush moves the entry into the log: the changelog record
+        // still shares the map's copy.
+        s.flush_changelog().unwrap();
+        let record = broker.fetch("clog", 0, 0, 1).unwrap().records.remove(0);
+        assert_eq!(
+            record.message.key.unwrap().as_ptr(),
+            map_key(&s, b"k").as_ptr()
+        );
+    }
+
+    #[test]
+    fn put_of_a_present_key_logs_the_map_key() {
+        let broker = Broker::new();
+        broker
+            .create_topic("clog", TopicConfig::with_partitions(1))
+            .unwrap();
+        let mut s = KeyValueStore::with_changelog("s", broker, "clog", 0);
+        s.put(b"k", Bytes::from_static(b"1")).unwrap();
+        let kept = map_key(&s, b"k");
+        s.put(b"k", Bytes::from_static(b"2")).unwrap();
+        assert_eq!(s.get(b"k").unwrap().as_ref(), b"2");
+        assert_eq!(
+            map_key(&s, b"k").as_ptr(),
+            kept.as_ptr(),
+            "the map keeps its key"
+        );
+        let logged = s.pending[1].key.clone().unwrap();
+        assert_eq!(
+            logged.as_ptr(),
+            kept.as_ptr(),
+            "the entry logs the map's key"
+        );
+    }
+
+    /// The one-seek scan returns exactly what a two-bound `BTreeMap::range`
+    /// returns, over random keys from a small alphabet (so many share the
+    /// `from` prefix), including empty and `from == to` intervals; an
+    /// inverted interval is empty.
+    #[test]
+    fn range_matches_a_two_bound_btree_range() {
+        samzasql_testkit::cases(256, 22, |rng| {
+            let key = |rng: &mut samzasql_testkit::Rng| -> Vec<u8> {
+                let len = rng.gen_range(0..4);
+                (0..len).map(|_| b'a' + rng.gen_range(0u8..3)).collect()
+            };
+            let mut s = KeyValueStore::ephemeral("s");
+            let mut model = BTreeMap::new();
+            for _ in 0..rng.gen_range(0..24) {
+                let k = key(rng);
+                let v = Bytes::from(vec![rng.gen_range(0u8..8)]);
+                s.put(&k, v.clone()).unwrap();
+                model.insert(k, v);
+            }
+            let from = key(rng);
+            // Keys that extend `from` sit at the scan's start.
+            for suffix in [b"a", b"c"] {
+                if rng.gen_range(0..2) == 0 {
+                    let k = [&from[..], suffix].concat();
+                    s.put(&k, Bytes::from_static(b"p")).unwrap();
+                    model.insert(k, Bytes::from_static(b"p"));
+                }
+            }
+            let to = match rng.gen_range(0..4) {
+                0 => from.clone(),
+                1 => [&from[..], b"b"].concat(),
+                _ => key(rng),
+            };
+            let got = s.range(&from, &to);
+            let want: Vec<(Bytes, Bytes)> = if from <= to {
+                model
+                    .range::<[u8], _>((Bound::Included(&from[..]), Bound::Excluded(&to[..])))
+                    .map(|(k, v)| (Bytes::from(k.clone()), v.clone()))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(got, want, "range {from:?}..{to:?}");
+        });
     }
 
     /// Decode a test value: one `Int` per byte, so a row shows exactly
